@@ -179,7 +179,7 @@ def cmd_sweep(args) -> int:
     axes = [_parse_axis(spec) for spec in args.axis]
     if not axes:
         raise ConfigValidationError(["at least one --axis is required"])
-    grid = sweep(config, axes, _window_from_args(args), threads=args.threads)
+    grid = sweep(config, axes, _window_from_args(args))
     outputs = [args.out]
     if grid.axis2_name is None:
         emit_1d_csv(args.out, grid)
@@ -289,11 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--axis", action="append", default=[],
                    metavar="name=min:max:count",
                    help="sweep axis (repeat for a second axis)")
-    p.add_argument("--metric", choices=["max-p"], default="max-p")
     _add_window_args(p)
-    p.add_argument("--threads", type=int,
-                   default=int(os.environ.get("DIMER_THREADS",
-                                              os.cpu_count() or 1)))
     p.add_argument("--out", required=True)
 
     p = add("resonance", cmd_resonance, help="solve the compensation condition")

@@ -92,24 +92,95 @@ def p12_zero_temp(config: SystemConfig, t):
 def _sector_arrays(config: SystemConfig):
     """Flat (weights, detunings) over the magnetization grid at finite beta."""
     tw = thermal_weights(config)
-    M1, M2 = np.meshgrid(tw.m1, tw.m2, indexing="ij")
-    delta = config.gap + (config.bath2.gamma * M2 - config.bath1.gamma * M1) / 2.0
+    delta = config.gap + (config.bath2.gamma * tw.m2[None, :]
+                          - config.bath1.gamma * tw.m1[:, None]) / 2.0
     return tw.normalized().ravel(), delta.ravel()
+
+
+def _detuning_groups(configs):
+    """Finite-temperature configs grouped by detuning set, sectors merged.
+
+    P(t) depends on a sector only through its detuning, so the weights of
+    sectors that share one are summed.  Configs with the same J and the
+    same sector detunings (they differ only in beta or q) form one group.
+    Returns a list of (J, detunings, cells, weights): the sorted distinct
+    detunings, the indices of the group's configs, and one row of merged
+    weights per config.
+    """
+    groups = {}
+    for i, cfg in enumerate(configs):
+        w, delta = _sector_arrays(cfg)
+        key = (cfg.dimer.J, delta.tobytes())
+        if key not in groups:
+            detunings, inverse = np.unique(delta, return_inverse=True)
+            groups[key] = (cfg.dimer.J, detunings, inverse, [], [])
+        _, detunings, inverse, cells, rows = groups[key]
+        cells.append(i)
+        rows.append(np.bincount(inverse, weights=w, minlength=detunings.size))
+    return [(J, detunings, cells, np.array(rows))
+            for J, detunings, _, cells, rows in groups.values()]
+
+
+# elements of one (times x detunings) block of the Rabi kernel; bounds the
+# memory of a scan whatever its length or the number of detunings
+_KERNEL_BLOCK = 1 << 16
+
+
+def _rabi_kernel_blocks(J: float, detunings: np.ndarray, t: np.ndarray):
+    """Yield (block, K) over consecutive slices of the 1-D time array t.
+
+    K[i, k] = J^2/(J^2 + D_k^2) * sin^2(t[block][i] * sqrt(J^2 + D_k^2)).
+    """
+    omega2 = J * J + detunings * detunings
+    amp = (J * J) / omega2
+    omega = np.sqrt(omega2)
+    step = max(1, _KERNEL_BLOCK // detunings.size)
+    for lo in range(0, t.size, step):
+        block = slice(lo, lo + step)
+        yield block, amp * np.sin(np.multiply.outer(t[block], omega)) ** 2
+
+
+def _rabi_average(J: float, detunings: np.ndarray, weights: np.ndarray,
+                  t: np.ndarray) -> np.ndarray:
+    """sum_k weights[r, k] K(t_i, D_k) for every weight row r and time t_i.
+
+    Each weight row gets its own matrix-vector product per kernel block,
+    and the blocks depend only on t and the number of detunings, so a row
+    gives the same bits whatever other rows it is batched with.  A matrix
+    product over all rows at once would not: BLAS may sum a column in a
+    different order for a different batch width.
+    """
+    out = np.empty((len(weights), t.size))
+    for block, K in _rabi_kernel_blocks(J, detunings, t):
+        for r, w in enumerate(weights):
+            out[r, block] = K @ w
+    return out
+
+
+def _rabi_average_paired(J: float, detunings: np.ndarray, weights: np.ndarray,
+                        rows: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """sum_k weights[rows[i], k] K(t[i], D_k) for every i, each at its own time.
+
+    Each value is the pairwise sum of its own contiguous row, so it does
+    not depend on the other entries of t.
+    """
+    out = np.empty(t.size)
+    for block, K in _rabi_kernel_blocks(J, detunings, t):
+        out[block] = (weights[rows[block]] * K).sum(axis=-1)
+    return out
 
 
 def p12_thermal(config: SystemConfig, t):
     """Finite-temperature transition probability (q = 0 gives independent baths).
 
     Degeneracy-weighted average of the Rabi formula over magnetization
-    sectors; algebraically identical to the double (j, m) sum because the
-    summand depends on j only through the multiplicity.
+    sectors, with sectors of equal detuning merged; algebraically identical
+    to the double (j, m) sum because the summand depends on j only through
+    the multiplicity.  The time axis is evaluated in bounded blocks.
     """
-    w, delta = _sector_arrays(config)
+    [(J, detunings, _, w)] = _detuning_groups([config])
     t = np.asarray(t, dtype=float)
-    J = config.dimer.J
-    omega2 = J * J + delta * delta
-    amp = (J * J) / omega2
-    p = (amp * np.sin(np.multiply.outer(t, np.sqrt(omega2))) ** 2) @ w
+    p = _rabi_average(J, detunings, w, t.ravel())[0].reshape(t.shape)
     return float(p) if p.ndim == 0 else p
 
 

@@ -2,8 +2,11 @@
 
 The finite-temperature P(t) is almost periodic (incommensurate sector
 frequencies), so the maximum is located by a dense coarse scan followed by
-golden-section refinement around the best sample.  Zero-temperature
-configurations use the closed-form peak instead.
+golden-section refinement around every coarse peak that could be the
+highest.  P factorises as K(t, D) @ W(D; beta, q) over the distinct
+detunings D, so a grid's cells are batched by detuning set: one kernel per
+set, one weight row per cell.  Zero-temperature configurations use the
+closed-form peak instead.
 """
 
 from __future__ import annotations
@@ -13,10 +16,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import SystemConfig, ThermalSpec, validated
-from .dynamics import (correlated_ground_state, delta0_correlated,
-                       p12_correlated_zero_temp, p12_thermal, p12_zero_temp,
-                       _sector_arrays)
+from .config import ConfigValidationError, SystemConfig, ThermalSpec, validated
+from .dynamics import (_detuning_groups, _rabi_average, _rabi_average_paired,
+                       correlated_ground_state, delta0_correlated,
+                       p12_correlated_zero_temp, p12_thermal, p12_zero_temp)
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -58,64 +61,137 @@ def _zero_temp_peak(config: SystemConfig) -> tuple[float, float]:
     return math.pi / (2.0 * omega), J * J / (J * J + d * d)
 
 
-def _golden_max(f, a: float, b: float, iterations: int) -> tuple[float, float]:
+def _golden_max(f, a: np.ndarray, b: np.ndarray, iterations: int,
+                retire) -> tuple[np.ndarray, np.ndarray]:
+    """Golden-section search on every bracket [a_i, b_i] at once.
+
+    f maps the times of the live brackets, in order, to their values.
+    Each bracket follows exactly the steps of a scalar search on its own.
+    After every step retire(c, d, fc, fd, width) gets the live brackets'
+    state and marks those that can no longer matter; they stop with their
+    best point so far.  Returns the best point and value of every bracket.
+    """
+    t_out, p_out = np.empty(a.size), np.empty(a.size)
+    live = np.arange(a.size)
+
+    def settle(sel):
+        left = fc[sel] > fd[sel]
+        t_out[live[sel]] = np.where(left, c[sel], d[sel])
+        p_out[live[sel]] = np.where(left, fc[sel], fd[sel])
+
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     fc, fd = f(c), f(d)
     for _ in range(iterations):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
-    return (c, fc) if fc > fd else (d, fd)
+        left = fc > fd
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        h = _INV_PHI * (b - a)
+        x = np.where(left, b - h, a + h)
+        fx = f(x)
+        c, d = np.where(left, x, d), np.where(left, c, x)
+        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
+        stop = retire(c, d, fc, fd, b - a)
+        if stop.any():
+            settle(stop)
+            keep = ~stop
+            a, b, c, d, fc, fd, live = (v[keep] for v in (a, b, c, d, fc, fd, live))
+    settle(slice(None))
+    return t_out, p_out
 
 
-def max_over_time(config: SystemConfig,
-                  window: TimeWindow | None = None) -> tuple[float, float]:
-    """(t*, P*) of the transition probability over the window.
+# absolute slack on the refinement bound, far above the rounding error of P
+_BOUND_SLACK = 1e-12
 
-    Zero-temperature configs return the exact closed-form peak; finite
-    temperature uses coarse scan + golden-section refinement, which never
-    returns less than the best coarse sample.
+
+def _group_peaks(J: float, detunings: np.ndarray, weights: np.ndarray,
+                 window: TimeWindow) -> list[tuple[float, float]]:
+    """(t*, P*) of every weight row over one shared detuning set.
+
+    The coarse scan evaluates the kernel once for all rows.  Every coarse
+    local maximum within M2 dt^2/8 of the row's best sample is refined.
+    M2 = sum_k w_k amp_k 2 omega_k^2 = 2 J^2 bounds |P''|, so a true peak
+    above the best sample has a sample within dt/2 at least that high.
     """
-    validated(config)
-    if window is None:
-        window = TimeWindow()
-    if config.thermal.is_zero_temperature:
-        return _zero_temp_peak(config)
-
-    w, delta = _sector_arrays(config)
-    J = config.dimer.J
-    omega2 = J * J + delta * delta
-    omega = np.sqrt(omega2)
-    amp = (J * J) / omega2
-
+    omega_max = math.sqrt(float((J * J + detunings * detunings).max()))
     # the coarse grid has to resolve the fastest sector oscillation
     dt = (window.t_max - window.t_min) / (window.coarse_steps - 1)
-    omega_max = float(omega.max())
     if dt > math.pi / omega_max / 4.0:
         raise ValueError(
             f"coarse step {dt:.3g} ps cannot resolve the fastest sector "
             f"frequency {omega_max:.3g} ps^-1; need more coarse_steps")
 
     ts = np.linspace(window.t_min, window.t_max, window.coarse_steps)
-    p = (amp[None, :] * np.sin(ts[:, None] * omega[None, :]) ** 2) @ w
-    i = int(p.argmax())
-    t_best, p_best = float(ts[i]), float(p[i])
+    p = _rabi_average(J, detunings, weights, ts)
+    i_best = p.argmax(axis=1)
+    p_best = p[np.arange(len(p)), i_best]
+    padded = np.pad(p, ((0, 0), (1, 1)), constant_values=-np.inf)
+    local = (p >= padded[:, :-2]) & (p >= padded[:, 2:])
+    band = 2.0 * J * J * dt * dt / 8.0
+    rows, cols = np.nonzero(local & (p >= (p_best - band)[:, None]))
+    best = p_best.copy()
+    live = rows
 
-    def f(t: float) -> float:
-        return float((amp * np.sin(t * omega) ** 2) @ w)
+    def f(t):
+        return _rabi_average_paired(J, detunings, weights, live, t)
 
-    a = max(window.t_min, t_best - dt)
-    b = min(window.t_max, t_best + dt)
-    t_ref, p_ref = _golden_max(f, a, b, window.refine_iterations)
-    if p_ref > p_best:
-        return t_ref, p_ref
-    return t_best, p_best
+    def retire(c, d, fc, fd, width):
+        # On a bracket, P <= max(fc, fd) + |slope| width + (M2/2) width^2.
+        # A search whose bound is below its row's best value so far cannot
+        # end higher than the row's final result, so stopping it changes
+        # no result.
+        nonlocal live
+        top = np.maximum(fc, fd)
+        np.maximum.at(best, live, top)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bound = top + np.abs(fd - fc) / (d - c) * width + J * J * width * width
+        stop = bound + _BOUND_SLACK < best[live]
+        live = live[~stop]
+        return stop
+
+    a = np.maximum(window.t_min, ts[cols] - dt)
+    b = np.minimum(window.t_max, ts[cols] + dt)
+    t_ref, p_ref = _golden_max(f, a, b, window.refine_iterations, retire)
+
+    # rows is sorted and every row has a candidate: its best sample
+    peaks = []
+    bounds = np.searchsorted(rows, np.arange(len(p) + 1))
+    for r in range(len(p)):
+        k = bounds[r] + int(p_ref[bounds[r]:bounds[r + 1]].argmax())
+        if p_ref[k] > p_best[r]:
+            peaks.append((float(t_ref[k]), float(p_ref[k])))
+        else:
+            peaks.append((float(ts[i_best[r]]), float(p_best[r])))
+    return peaks
+
+
+def _thermal_peaks(configs, window: TimeWindow) -> list[tuple[float, float]]:
+    """(t*, P*) of finite-temperature configs, one kernel per detuning set.
+
+    A cell's result does not depend on which other cells come with it.
+    """
+    peaks = [None] * len(configs)
+    for J, detunings, cells, weights in _detuning_groups(configs):
+        for i, peak in zip(cells, _group_peaks(J, detunings, weights, window)):
+            peaks[i] = peak
+    return peaks
+
+
+def max_over_time(config: SystemConfig,
+                  window: TimeWindow | None = None) -> tuple[float, float]:
+    """(t*, P*) of the transition probability over the window.
+
+    Zero-temperature configs return the exact closed-form peak.  Finite
+    temperature scans the window on the coarse grid, then refines every
+    coarse local maximum that could hide a higher peak by golden section
+    within one coarse step; it never returns less than the best coarse
+    sample.  This is the one-cell case of a sweep, with the same bits.
+    """
+    validated(config)
+    if window is None:
+        window = TimeWindow()
+    if config.thermal.is_zero_temperature:
+        return _zero_temp_peak(config)
+    return _thermal_peaks([config], window)[0]
 
 
 def _apply_parameter(config: SystemConfig, name: str, value: float) -> SystemConfig:
@@ -145,13 +221,27 @@ def _p_at_time(config: SystemConfig, t) -> np.ndarray:
     return p12_thermal(config, t)
 
 
-def sweep(config: SystemConfig, axes, window: TimeWindow | None = None,
-          threads: int | None = None) -> SweepGrid:
+def _check_axis_values(names, values):
+    """Every error an axis value would raise in some cell, found before any work."""
+    errors = []
+    for name, v in zip(names, values):
+        if not np.isfinite(v).all():
+            errors.append("axis values must be finite")
+        elif name == "temperature" and not (v > 0).all():
+            errors.append("temperature axis values must be positive")
+        elif name == "J" and (v == 0).any():
+            errors.append("J axis values must be nonzero")
+    if errors:
+        raise ConfigValidationError(errors)
+
+
+def sweep(config: SystemConfig, axes, window: TimeWindow | None = None) -> SweepGrid:
     """Grid of max-over-time values (or raw P(t) when one axis is time).
 
     axes: list of 1 or 2 (name, values) pairs; names from SWEEP_PARAMETERS.
-    Results are written to pre-indexed slots, so any parallel execution by
-    the caller is order-independent; the built-in path is deterministic.
+    Every axis value is validated before any cell is computed.  A cell's
+    (t*, P*) is bit-identical to max_over_time of its config, whatever the
+    grid around it.
     """
     validated(config)
     if window is None:
@@ -166,8 +256,7 @@ def sweep(config: SystemConfig, axes, window: TimeWindow | None = None,
     if names.count("t") > 1:
         raise ValueError("at most one axis may be time")
     values = [np.asarray(v, dtype=float) for _, v in axes]
-    if any(not np.isfinite(v).all() for v in values):
-        raise ValueError("axis values must be finite")
+    _check_axis_values(names, values)
 
     shape = tuple(len(v) for v in values)
     grid = np.empty(shape)
@@ -189,12 +278,20 @@ def sweep(config: SystemConfig, axes, window: TimeWindow | None = None,
                 else:
                     grid[:, i], tgrid[:, i] = p, ts
     else:
-        for idx in np.ndindex(shape):
+        def cell_config(idx):
             cfg = config
             for ax, i in enumerate(idx):
                 cfg = _apply_parameter(cfg, names[ax], float(values[ax][i]))
-            t_star, p_star = max_over_time(cfg, window)
-            grid[idx], tgrid[idx] = p_star, t_star
+            return cfg
+
+        if config.thermal.is_zero_temperature and "temperature" not in names:
+            for idx in np.ndindex(shape):
+                tgrid[idx], grid[idx] = max_over_time(cell_config(idx), window)
+        else:
+            cells = list(np.ndindex(shape))
+            peaks = _thermal_peaks([cell_config(idx) for idx in cells], window)
+            for idx, (t_star, p_star) in zip(cells, peaks):
+                grid[idx], tgrid[idx] = p_star, t_star
 
     best = np.unravel_index(int(grid.argmax()), shape)
     argmax = {

@@ -124,3 +124,76 @@ class TestAssistanceGain:
         cfg = make_config(eps1=0, eps2=20, J=10.0, N2=20, alpha2=250.0,
                           gamma2=2.0, thermal=ThermalSpec.kelvin(77.0))
         assert assistance_gain(cfg).gain > 0.4
+
+
+class TestBatchedEngine:
+    @pytest.mark.parametrize("window", [TimeWindow(), TimeWindow(refine_iterations=0)])
+    def test_every_cell_equals_max_over_time(self, window):
+        # cells share a kernel across q, and the 2000-step scan spans two
+        # kernel blocks; no cell may see its neighbours.  Without refinement
+        # most cells return a coarse sample, so the scan's bits show too.
+        thermal = ThermalSpec.kelvin(300.0)
+        gammas, qs = [0.0, 1.3, 2.9], [0.0, 17.0, 30.0, 40.0]
+        grid = sweep(make_config(N1=22, N2=20, thermal=thermal),
+                     [("gamma_both", gammas), ("q", qs)], window)
+        for i, g in enumerate(gammas):
+            for j, q in enumerate(qs):
+                cell = make_config(N1=22, gamma1=g, N2=20, gamma2=g, q=q,
+                                   thermal=thermal)
+                assert ((grid.t_star[i, j], grid.values[i, j])
+                        == max_over_time(cell, window))
+
+    def test_refines_every_candidate_peak(self):
+        # two near-equal peaks: refining only the best coarse sample polished
+        # the lower one and fell 8.7e-6 short of the true maximum
+        cfg = make_config(N1=22, gamma1=0.75, N2=20, gamma2=0.75, q=30.0,
+                          thermal=ThermalSpec.kelvin(77.0))
+        t_star, p_star = max_over_time(cfg)
+        dense = p12_thermal(cfg, np.linspace(0, 2, 100 * 1999 + 1))
+        assert p_star >= dense.max() - 1e-12
+        assert p_star == pytest.approx(p12_thermal(cfg, t_star), abs=1e-15)
+
+    def test_axis_values_validated_before_any_kernel_call(self, monkeypatch):
+        import dimerbath.dynamics as dynamics
+        calls = []
+        kernel = dynamics._rabi_kernel_blocks
+
+        def spy(*args):
+            calls.append(args)
+            return kernel(*args)
+        monkeypatch.setattr(dynamics, "_rabi_kernel_blocks", spy)
+        cfg = make_config(gamma2=1.0, thermal=ThermalSpec.kelvin(77.0))
+        with pytest.raises(ValueError, match="temperature"):
+            sweep(cfg, [("temperature", [77.0, 300.0, -1.0])])
+        with pytest.raises(ValueError, match="J"):
+            sweep(cfg, [("gamma2", [1.0, 2.0]), ("J", [10.0, 0.0])])
+        with pytest.raises(ValueError, match="finite"):
+            sweep(cfg, [("q", [0.0, np.nan])])
+        assert calls == []
+        sweep(cfg, [("temperature", [77.0])], TimeWindow(coarse_steps=800))
+        assert calls
+
+    def test_scan_memory_is_bounded(self):
+        import tracemalloc
+        # 201 x 201 sectors with 40 401 distinct detunings: one unblocked
+        # scan temporary would be 4000 x 40401 doubles, 1.3 GB
+        cfg = make_config(N1=200, gamma1=0.5, N2=200, gamma2=0.5 * math.sqrt(2.0),
+                          thermal=ThermalSpec.kelvin(300.0))
+        tracemalloc.start()
+        try:
+            t_star, p_star = max_over_time(cfg, TimeWindow(coarse_steps=4000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 2 ** 20
+        assert 0.0 < p_star <= 1.0 and 0.0 <= t_star <= 2.0
+
+    def test_retiring_hopeless_searches_changes_no_result(self, monkeypatch):
+        import dimerbath.sweeps as sweeps
+        cfg = make_config(N1=22, N2=20, thermal=ThermalSpec.kelvin(77.0))
+        axes = [("gamma_both", [0.75, 2.0, 3.5]), ("q", [10.0, 30.0])]
+        grid = sweep(cfg, axes)
+        monkeypatch.setattr(sweeps, "_BOUND_SLACK", math.inf)   # never retire
+        full = sweep(cfg, axes)
+        np.testing.assert_array_equal(grid.values, full.values)
+        np.testing.assert_array_equal(grid.t_star, full.t_star)
