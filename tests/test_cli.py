@@ -174,9 +174,9 @@ def test_oracle_check_disagreement_exit_code(config_file):
 
 
 def test_oracle_check_size_guard(config_file, capsys):
-    assert main(["oracle-check", "--config", config_file(), "--n1", "10",
-                 "--n2", "10"]) == 2
-    assert "14" in capsys.readouterr().err
+    assert main(["oracle-check", "--config", config_file(), "--n1", "12",
+                 "--n2", "12"]) == 2
+    assert "23" in capsys.readouterr().err
 
 
 def test_unwritable_output(config_file):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,11 +8,24 @@ from dimerbath import (OracleSizeError, ThermalSpec, brute_force_bath_ground,
                        build_hamiltonian, correlated_ground_state,
                        evolve_probability, p12_thermal, q_threshold,
                        rabi_probability, thermal_ensemble)
+from dimerbath.oracle import _bath_magnetizations, _dimer_blocks
 from conftest import make_config, random_config
 
 
 def small_random_config(rng, **kwargs):
     return random_config(rng, n_max=3, **kwargs)
+
+
+def dense_evolution(cfg, ts, identity_shift=0.0):
+    """P(1 -> 2) from one eigh of the full Kronecker-built Hamiltonian."""
+    H = build_hamiltonian(cfg).matrix
+    H = H + identity_shift * np.eye(H.shape[0])
+    evals, evecs = np.linalg.eigh(H)
+    nbath = H.shape[0] // 2
+    # global index = dimer_bit * nbath + bath_index; dimer bit 0 = level 1
+    W = evecs[nbath:, :] * evecs[:nbath, :].conj()
+    amps = W @ np.exp(-1j * np.multiply.outer(evals, ts))
+    return thermal_ensemble(cfg) @ (np.abs(amps) ** 2)
 
 
 class TestHamiltonian:
@@ -57,9 +71,28 @@ class TestHamiltonian:
             assert all(r % nbath == col % nbath for r in rows)
 
     def test_size_guard(self):
-        cfg = make_config(N1=8, N2=8)
-        with pytest.raises(OracleSizeError, match="14"):
-            build_hamiltonian(cfg)
+        with pytest.raises(OracleSizeError, match="10"):
+            build_hamiltonian(make_config(N1=6, N2=5))
+        # checked before any bath state is enumerated
+        with pytest.raises(OracleSizeError, match="23"):
+            evolve_probability(make_config(N1=12, N2=12), 0.5)
+
+    def test_dense_hamiltonian_is_block_diagonal_with_the_built_blocks(self, rng):
+        for _ in range(20):
+            cfg = random_config(rng, n_max=4)
+            H = build_hamiltonian(cfg).matrix
+            nbath = H.shape[0] // 2
+            bath = np.arange(H.shape[0]) % nbath
+            assert np.all(H[bath[:, None] != bath[None, :]] == 0)
+            b = np.arange(nbath)
+            dense_blocks = np.stack(
+                [np.stack([H[b, b], H[b, b + nbath]], axis=-1),
+                 np.stack([H[b + nbath, b], H[b + nbath, b + nbath]], axis=-1)],
+                axis=-2)
+            blocks = _dimer_blocks(
+                cfg, *_bath_magnetizations(cfg.bath1.N, cfg.bath2.N))
+            assert np.abs(dense_blocks - blocks).max() <= \
+                1e-12 * np.abs(H).max()
 
 
 class TestEnsemble:
@@ -116,6 +149,47 @@ class TestEvolution:
             for b in (0, nbath // 2, nbath - 1):
                 total = abs(U[b, b]) ** 2 + abs(U[b + nbath, b]) ** 2
                 assert total == pytest.approx(1.0, abs=1e-10)
+
+
+class TestBlockEvolution:
+    """The block oracle against a dense evolution of the same Hamiltonian."""
+
+    @pytest.mark.parametrize("zero_temp, shift", [(False, 0.0), (True, 0.0),
+                                                  (False, -137.0), (True, 1e4)])
+    def test_matches_dense_evolution(self, rng, zero_temp, shift):
+        # 600 points split 2^7 or more bath states into several chunks
+        ts = np.linspace(0, 2, 600)
+        for _ in range(6):
+            cfg = random_config(rng, n_max=4, zero_temp=zero_temp)
+            np.testing.assert_allclose(
+                evolve_probability(cfg, ts, identity_shift=shift),
+                dense_evolution(cfg, ts, identity_shift=shift), rtol=0,
+                atol=1e-10)
+
+    @pytest.mark.parametrize("n1, n2", [(12, 4), (4, 12)])
+    def test_unequal_sizes_match_analytic_thermal(self, n1, n2):
+        # sizes the dense oracle could never reach, with correlated baths
+        for kelvin, q in ((77.0, 2.5), (300.0, -4.0)):
+            cfg = make_config(eps1=1.0, eps2=19.0, J=9.0, N1=n1, alpha1=230.0,
+                              gamma1=1.5, N2=n2, alpha2=270.0, gamma2=-2.0,
+                              q=q, thermal=ThermalSpec.kelvin(kelvin))
+            ts = np.linspace(0, 2, 50)
+            np.testing.assert_allclose(evolve_probability(cfg, ts),
+                                       p12_thermal(cfg, ts), rtol=0, atol=1e-8)
+
+    def test_peak_memory_is_bounded(self):
+        # evaluated in one piece, 2^16 bath states x 50 points would need
+        # about 200 MiB of temporaries (the phase array alone is 100 MiB)
+        cfg = make_config(N1=8, N2=8, gamma1=1.0, gamma2=2.0, q=3.0,
+                          thermal=ThermalSpec.kelvin(300.0))
+        ts = np.linspace(0, 2, 50)
+        tracemalloc.start()
+        try:
+            evolve_probability(cfg, ts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
 
 
 class TestBathGroundEnumeration:
