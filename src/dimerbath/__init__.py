@@ -12,7 +12,7 @@ from .combinatorics import (MultiplicityTable, ThermalWeights,
 from .dynamics import (AssistanceReport, DetuningSpec, GroundStateBranch,
                        ResonanceSolution, assistance_condition,
                        correlated_ground_state, delta0_correlated,
-                       detuning_sector, detuning_zero_temp,
+                       detuning_sector, detuning_zero_temp, p12,
                        p12_correlated_zero_temp, p12_thermal, p12_thermal_jm,
                        p12_zero_temp, q_threshold, rabi_probability,
                        resonance_gamma)

@@ -12,13 +12,14 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
 from . import __version__
 from .config import (ConfigValidationError, SystemConfig, config_to_dict,
                      load_config, validate)
-from .dynamics import (assistance_condition, correlated_ground_state,
+from .dynamics import (_ground_branch, assistance_condition, p12,
                        p12_correlated_zero_temp, p12_thermal, p12_zero_temp,
                        q_threshold, resonance_gamma)
 from .oracle import MAX_BATH_SPINS, OracleSizeError, evolve_probability
@@ -113,17 +114,17 @@ def _add_window_args(p, t_max=2.0, steps=2000):
     p.add_argument("--refine", type=int, default=60)
 
 
-def _curve_command(args, evaluate, name: str) -> int:
+def _curve_command(args) -> int:
     started = time.monotonic()
     config = load_config(args.config)
     ts = np.linspace(args.t_min, args.t_max, args.steps)
-    ps = np.asarray(evaluate(config, ts))
+    ps = np.asarray(args.evaluate(config, ts))
     emit_curve_csv(args.out, ts, ps)
     i = int(ps.argmax()) if len(ps) else 0
     summary = {"t_star": float(ts[i]) if len(ts) else None,
                "p_star": float(ps[i]) if len(ps) else None,
                "points": len(ts)}
-    write_manifest(args.out, name, config, started, [args.out], summary)
+    write_manifest(args.out, args.command, config, started, [args.out], summary)
     return EXIT_OK
 
 
@@ -141,21 +142,6 @@ def cmd_validate(args) -> int:
         return EXIT_USAGE
     print("ok")
     return EXIT_OK
-
-
-def cmd_zero_temp(args) -> int:
-    return _curve_command(args, p12_zero_temp, "zero-temp")
-
-
-def cmd_thermal(args) -> int:
-    return _curve_command(args, p12_thermal, "thermal")
-
-
-def cmd_correlated_zero_temp(args) -> int:
-    def evaluate(config, ts):
-        return p12_correlated_zero_temp(config, ts, theta=args.theta,
-                                        phi=args.phi)
-    return _curve_command(args, evaluate, "correlated-zero-temp")
 
 
 def cmd_max(args) -> int:
@@ -215,8 +201,7 @@ def cmd_resonance(args) -> int:
 def cmd_ground_state(args) -> int:
     config = load_config(args.config)
     b1, b2 = config.bath1, config.bath2
-    branch = correlated_ground_state(b1.alpha, b2.alpha, config.correlation.q,
-                                     b1.N, b2.N)
+    branch = _ground_branch(config)
     q0 = q_threshold(b1.alpha, b2.alpha, b1.N, b2.N)
     print(f"branch = {branch.branch}")
     print(f"q0 = {_fmt(q0)}")
@@ -230,19 +215,12 @@ def cmd_ground_state(args) -> int:
 def cmd_oracle_check(args) -> int:
     started = time.monotonic()
     config = load_config(args.config)
-    if args.n1 is not None or args.n2 is not None:
-        from dataclasses import replace
-        if args.n1 is not None:
-            config = replace(config, bath1=replace(config.bath1, N=args.n1))
-        if args.n2 is not None:
-            config = replace(config, bath2=replace(config.bath2, N=args.n2))
+    if args.n1 is not None:
+        config = replace(config, bath1=replace(config.bath1, N=args.n1))
+    if args.n2 is not None:
+        config = replace(config, bath2=replace(config.bath2, N=args.n2))
     ts = np.linspace(0.0, args.t_max, args.points)
-    analytic = np.asarray(
-        p12_zero_temp(config, ts) if (config.thermal.is_zero_temperature
-                                      and config.correlation.q == 0.0)
-        else p12_correlated_zero_temp(config, ts)
-        if config.thermal.is_zero_temperature
-        else p12_thermal(config, ts))
+    analytic = np.asarray(p12(config, ts))
     numeric = np.asarray(evolve_probability(config, ts))
     max_dev = float(np.abs(analytic - numeric).max())
     print(f"max |dP| = {_fmt(max_dev)} over {args.points} points "
@@ -269,17 +247,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     add("validate", cmd_validate, help="check a config and exit")
 
-    for name, func in (("zero-temp", cmd_zero_temp),
-                       ("thermal", cmd_thermal),
-                       ("correlated-zero-temp", cmd_correlated_zero_temp)):
-        p = add(name, func, help=f"P(t) curve, {name} regime")
+    for name, evaluate in (("zero-temp", p12_zero_temp),
+                           ("thermal", p12_thermal),
+                           ("correlated-zero-temp", p12_correlated_zero_temp)):
+        p = add(name, _curve_command, help=f"P(t) curve, {name} regime")
+        p.set_defaults(evaluate=evaluate)
         p.add_argument("--t-min", type=float, default=0.0)
         p.add_argument("--t-max", type=float, default=2.0)
         p.add_argument("--steps", type=int, default=2000)
         p.add_argument("--out", required=True)
-        if name == "correlated-zero-temp":
-            p.add_argument("--theta", type=float, default=0.0)
-            p.add_argument("--phi", type=float, default=0.0)
 
     p = add("max", cmd_max, help="maximum of P over a time window")
     _add_window_args(p)

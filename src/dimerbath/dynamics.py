@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -33,8 +32,6 @@ class DetuningSpec:
 class GroundStateBranch:
     """Which corner product state (or superposition) minimizes the bath energy."""
     branch: str  # both_down | bath2_up | bath1_up | degenerate_superposition
-    theta: float | None = None
-    phi: float | None = None
 
 
 @dataclass(frozen=True)
@@ -78,15 +75,6 @@ def detuning_sector(config: SystemConfig, m1: float, m2: float) -> DetuningSpec:
                              f"N={bath.N} bath")
     value = config.gap + (config.bath2.gamma * m2 - config.bath1.gamma * m1) / 2.0
     return DetuningSpec(value=value, provenance="sector", sector=(m1, m2))
-
-
-def p12_zero_temp(config: SystemConfig, t):
-    """Transition probability for independent baths at zero temperature."""
-    if not config.thermal.is_zero_temperature:
-        raise ValueError("p12_zero_temp requires the zero-temperature tag")
-    if config.correlation.q != 0.0:
-        raise ValueError("correlated baths: use p12_correlated_zero_temp")
-    return rabi_probability(config.dimer.J, detuning_zero_temp(config), t)
 
 
 def _sector_arrays(config: SystemConfig):
@@ -225,74 +213,85 @@ def q_threshold(alpha1: float, alpha2: float, N1: int, N2: int) -> float:
     return 2.0 * min(alpha1 / N2, alpha2 / N1)
 
 
+# relative tolerance of the classifier's ties and of the Delta0 = 0 test
 _REL_TOL = 1e-12
 
 
-def _close(a: float, b: float) -> bool:
-    if Fraction(a) == Fraction(b):
-        return True
+def _tied(a: float, b: float) -> bool:
     return abs(a - b) <= _REL_TOL * max(abs(a), abs(b))
 
 
 def correlated_ground_state(alpha1: float, alpha2: float, q: float,
-                            N1: int, N2: int,
-                            theta: float = 0.0,
-                            phi: float = 0.0) -> GroundStateBranch:
+                            N1: int, N2: int) -> GroundStateBranch:
     """Classify the ground state of a1 S1z + a2 S2z + q S1z S2z.
 
-    theta/phi parametrize the free superposition in the degenerate cases;
-    they are not fixed by the physics.
+    q tied with q0, or equal alphas above q0, leave two corners tied.
     """
     if not (alpha1 > 0 and alpha2 > 0):
         raise ValueError("alpha1, alpha2 must be positive")
-    q0 = 2 * min(Fraction(alpha1) / N2, Fraction(alpha2) / N1)
-    qf = Fraction(q)
-    on_threshold = _close(q, float(q0))
-    if on_threshold or (qf > q0 and _close(alpha1, alpha2)):
-        return GroundStateBranch(branch="degenerate_superposition",
-                                 theta=theta, phi=phi)
-    if qf < q0:
+    q0 = q_threshold(alpha1, alpha2, N1, N2)
+    if _tied(q, q0) or (q > q0 and _tied(alpha1, alpha2)):
+        return GroundStateBranch(branch="degenerate_superposition")
+    if q < q0:
         return GroundStateBranch(branch="both_down")
     if alpha1 > alpha2:
         return GroundStateBranch(branch="bath2_up")
     return GroundStateBranch(branch="bath1_up")
 
 
-# sign of (gamma1*N1/4, gamma2*N2/4) in Delta_0 for each branch
+# sign of (gamma1*N1/4, gamma2*N2/4) in Delta_0 for each branch; the
+# degenerate branch takes the bath2_up corner's detuning
 _BRANCH_SIGNS = {
     "both_down": (1.0, -1.0),
     "bath2_up": (1.0, 1.0),
     "bath1_up": (-1.0, -1.0),
+    "degenerate_superposition": (1.0, 1.0),
 }
 
 
 def delta0_correlated(config: SystemConfig,
                       branch: GroundStateBranch) -> DetuningSpec:
-    """Detuning set by the correlated-bath ground state.
-
-    The degenerate superposition contributes cos(2 theta) times the
-    symmetric shift; phi drops out because S^z is diagonal.
-    """
+    """Detuning set by the correlated-bath ground state."""
     b1, b2 = config.bath1, config.bath2
-    if branch.branch == "degenerate_superposition":
-        c = math.cos(2.0 * branch.theta)
-        s1, s2 = c, c
-    else:
-        s1, s2 = _BRANCH_SIGNS[branch.branch]
+    s1, s2 = _BRANCH_SIGNS[branch.branch]
     # grouped so the both_down branch is bit-identical to detuning_zero_temp
     value = config.gap + (s1 * b1.gamma * b1.N + s2 * b2.gamma * b2.N) / 4.0
     return DetuningSpec(value=value, provenance="correlated_ground_state")
 
 
-def p12_correlated_zero_temp(config: SystemConfig, t,
-                             theta: float = 0.0, phi: float = 0.0):
+def _ground_branch(config: SystemConfig) -> GroundStateBranch:
+    b1, b2 = config.bath1, config.bath2
+    return correlated_ground_state(b1.alpha, b2.alpha, config.correlation.q,
+                                   b1.N, b2.N)
+
+
+def p12(config: SystemConfig, t):
+    """Transition probability in the regime the config is in.
+
+    At zero temperature this is the Rabi curve at the ground-state branch's
+    detuning (q = 0 gives both baths all-down); otherwise the thermal
+    average.
+    """
+    if not config.thermal.is_zero_temperature:
+        return p12_thermal(config, t)
+    delta = delta0_correlated(config, _ground_branch(config))
+    return rabi_probability(config.dimer.J, delta, t)
+
+
+def p12_zero_temp(config: SystemConfig, t):
+    """Transition probability for independent baths at zero temperature."""
+    if not config.thermal.is_zero_temperature:
+        raise ValueError("p12_zero_temp requires the zero-temperature tag")
+    if config.correlation.q != 0.0:
+        raise ValueError("correlated baths: use p12_correlated_zero_temp")
+    return p12(config, t)
+
+
+def p12_correlated_zero_temp(config: SystemConfig, t):
     """Zero-temperature transition probability with Ising-coupled baths."""
     if not config.thermal.is_zero_temperature:
         raise ValueError("p12_correlated_zero_temp requires the zero-temperature tag")
-    b1, b2 = config.bath1, config.bath2
-    branch = correlated_ground_state(b1.alpha, b2.alpha, config.correlation.q,
-                                     b1.N, b2.N, theta=theta, phi=phi)
-    return rabi_probability(config.dimer.J, delta0_correlated(config, branch), t)
+    return p12(config, t)
 
 
 def _energy_scale(config: SystemConfig) -> float:
@@ -301,24 +300,19 @@ def _energy_scale(config: SystemConfig) -> float:
                abs(b2.gamma) * b2.N / 4.0, abs(config.dimer.J))
 
 
-def assistance_condition(config: SystemConfig, theta: float = 0.0,
-                         phi: float = 0.0,
-                         rel_tol: float = 1e-12) -> AssistanceReport:
+def assistance_condition(config: SystemConfig) -> AssistanceReport:
     """Does the active ground-state branch compensate the dimer gap (Delta0 = 0)?"""
     if not config.thermal.is_zero_temperature:
         raise ValueError("assistance_condition is a zero-temperature statement")
-    b1, b2 = config.bath1, config.bath2
-    branch = correlated_ground_state(b1.alpha, b2.alpha, config.correlation.q,
-                                     b1.N, b2.N, theta=theta, phi=phi)
+    branch = _ground_branch(config)
     delta0 = delta0_correlated(config, branch).value
     scale = _energy_scale(config)
-    satisfied = abs(delta0) <= rel_tol * max(scale, 1e-300)
+    satisfied = abs(delta0) <= _REL_TOL * max(scale, 1e-300)
     return AssistanceReport(regime=branch.branch, satisfied=satisfied,
                             delta0=delta0)
 
 
-def resonance_gamma(config: SystemConfig, free: str,
-                    theta: float = 0.0) -> ResonanceSolution | None:
+def resonance_gamma(config: SystemConfig, free: str) -> ResonanceSolution | None:
     """Solve the active branch's Delta0 = 0 condition for one coupling.
 
     free is "gamma1", "gamma2", or "gamma_both" (ties gamma1 = gamma2).
@@ -331,13 +325,8 @@ def resonance_gamma(config: SystemConfig, free: str,
     if free not in ("gamma1", "gamma2", "gamma_both"):
         raise ValueError(f"unknown free coupling {free!r}")
     b1, b2 = config.bath1, config.bath2
-    branch = correlated_ground_state(b1.alpha, b2.alpha, config.correlation.q,
-                                     b1.N, b2.N, theta=theta)
-    if branch.branch == "degenerate_superposition":
-        c = math.cos(2.0 * theta)
-        s1, s2 = c, c
-    else:
-        s1, s2 = _BRANCH_SIGNS[branch.branch]
+    branch = _ground_branch(config)
+    s1, s2 = _BRANCH_SIGNS[branch.branch]
     require_nonneg = branch.branch != "both_down"
 
     if free == "gamma1":

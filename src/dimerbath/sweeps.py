@@ -17,9 +17,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import ConfigValidationError, SystemConfig, ThermalSpec, validated
-from .dynamics import (_detuning_groups, _rabi_average, _rabi_average_paired,
-                       correlated_ground_state, delta0_correlated,
-                       p12_correlated_zero_temp, p12_thermal, p12_zero_temp)
+from .dynamics import (_detuning_groups, _ground_branch, _rabi_average,
+                       _rabi_average_paired, delta0_correlated, p12)
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -52,10 +51,7 @@ class SweepGrid:
 
 
 def _zero_temp_peak(config: SystemConfig) -> tuple[float, float]:
-    b1, b2 = config.bath1, config.bath2
-    branch = correlated_ground_state(b1.alpha, b2.alpha, config.correlation.q,
-                                     b1.N, b2.N)
-    d = delta0_correlated(config, branch).value
+    d = delta0_correlated(config, _ground_branch(config)).value
     J = config.dimer.J
     omega = math.sqrt(J * J + d * d)
     return math.pi / (2.0 * omega), J * J / (J * J + d * d)
@@ -213,14 +209,6 @@ def _apply_parameter(config: SystemConfig, name: str, value: float) -> SystemCon
                      f"choose from {SWEEP_PARAMETERS}")
 
 
-def _p_at_time(config: SystemConfig, t) -> np.ndarray:
-    if config.thermal.is_zero_temperature:
-        if config.correlation.q == 0.0:
-            return p12_zero_temp(config, t)
-        return p12_correlated_zero_temp(config, t)
-    return p12_thermal(config, t)
-
-
 def _check_axis_values(names, values):
     """Every error an axis value would raise in some cell, found before any work."""
     errors = []
@@ -267,12 +255,12 @@ def sweep(config: SystemConfig, axes, window: TimeWindow | None = None) -> Sweep
         ts = values[time_axis]
         other = 1 - time_axis if len(axes) == 2 else None
         if other is None:
-            p = np.asarray(_p_at_time(config, ts))
+            p = np.asarray(p12(config, ts))
             grid[:], tgrid[:] = p, ts
         else:
             for i, v in enumerate(values[other]):
                 cfg = _apply_parameter(config, names[other], float(v))
-                p = np.asarray(_p_at_time(cfg, ts))
+                p = np.asarray(p12(cfg, ts))
                 if other == 0:
                     grid[i, :], tgrid[i, :] = p, ts
                 else:

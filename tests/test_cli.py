@@ -182,3 +182,57 @@ def test_oracle_check_size_guard(config_file, capsys):
 def test_unwritable_output(config_file):
     assert main(["zero-temp", "--config", config_file(),
                  "--out", "/nonexistent-dir/x.csv"]) == 2
+
+
+@pytest.mark.parametrize("command, overrides", [
+    ("zero-temp", dict(gamma2=2.0)),
+    ("correlated-zero-temp", dict(q=300.0, alpha1=300.0, N1=4, N2=4,
+                                  gamma1=1.0, gamma2=3.0)),
+    ("thermal", dict(gamma1=1.0, gamma2=2.0, q=5.0, N1=3, N2=4,
+                     zero_temperature=False, temperature_kelvin=77.0)),
+])
+def test_curve_rows_equal_p12(config_file, tmp_path, command, overrides):
+    from dimerbath import load_config, p12
+    path = config_file(**overrides)
+    out = tmp_path / "curve.csv"
+    assert main([command, "--config", path, "--t-max", "1.5",
+                 "--steps", "301", "--out", str(out)]) == 0
+    ts, ps = np.array(read_curve(out)).T
+    assert np.array_equal(ts, np.linspace(0.0, 1.5, 301))
+    assert np.array_equal(ps, p12(load_config(path), ts))
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(q=0.0),
+    dict(q=300.0, alpha1=300.0),
+    dict(q=5.0, zero_temperature=False, temperature_kelvin=300.0),
+])
+def test_oracle_check_compares_p12(config_file, capsys, overrides):
+    from dataclasses import replace
+
+    from dimerbath import evolve_probability, load_config, p12
+    path = config_file(gamma1=1.0, gamma2=2.0, **overrides)
+    assert main(["oracle-check", "--config", path, "--n1", "3", "--n2", "3",
+                 "--points", "40"]) == 0
+    cfg = load_config(path)
+    cfg = replace(cfg, bath1=replace(cfg.bath1, N=3),
+                  bath2=replace(cfg.bath2, N=3))
+    ts = np.linspace(0.0, 2.0, 40)
+    dev = np.abs(p12(cfg, ts) - evolve_probability(cfg, ts)).max()
+    assert f"max |dP| = {format(float(dev), '.17g')} " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["zero-temp", "correlated-zero-temp"])
+def test_nonpositive_alpha_at_zero_temperature_exits_2(config_file, tmp_path,
+                                                       capsys, command):
+    out = tmp_path / "curve.csv"
+    assert main([command, "--config", config_file(alpha1=-250.0),
+                 "--out", str(out)]) == 2
+    assert "positive" in capsys.readouterr().err
+
+
+def test_theta_option_is_gone(config_file, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["correlated-zero-temp", "--config", config_file(q=30.0),
+              "--theta", "0.3", "--out", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from dimerbath import (DetuningSpec, ThermalSpec, assistance_condition,
-                       correlated_ground_state, delta0_correlated,
-                       detuning_sector, detuning_zero_temp,
-                       p12_correlated_zero_temp, p12_thermal, p12_thermal_jm,
-                       p12_zero_temp, q_threshold, rabi_probability,
-                       resonance_gamma, thermal_weights)
+from dimerbath import (DetuningSpec, GroundStateBranch, ThermalSpec,
+                       assistance_condition, correlated_ground_state,
+                       delta0_correlated, detuning_sector, detuning_zero_temp,
+                       p12, p12_correlated_zero_temp, p12_thermal,
+                       p12_thermal_jm, p12_zero_temp, q_threshold,
+                       rabi_probability, resonance_gamma, thermal_weights)
 from conftest import make_config, random_config
 
 
@@ -101,6 +101,24 @@ class TestZeroTemperature:
         with pytest.raises(ValueError):
             p12_zero_temp(make_config(q=5.0), 0.1)
 
+    @pytest.mark.parametrize("alpha1", [-250.0, 0.0])
+    def test_rejects_nonpositive_alpha(self, alpha1):
+        # without alpha > 0 the ground state need not be all-down
+        cfg = make_config(alpha1=alpha1)
+        for f in (p12_zero_temp, p12_correlated_zero_temp, p12):
+            with pytest.raises(ValueError, match="positive"):
+                f(cfg, 0.1)
+
+    def test_guards_equal_p12(self, rng):
+        ts = np.linspace(0, 2, 101)
+        for _ in range(20):
+            cfg = random_config(rng, zero_temp=True, q_zero=True)
+            assert np.array_equal(p12_zero_temp(cfg, ts), p12(cfg, ts))
+            cfg = random_config(rng, zero_temp=True)
+            assert np.array_equal(p12_correlated_zero_temp(cfg, ts), p12(cfg, ts))
+            cfg = random_config(rng)
+            assert np.array_equal(p12_thermal(cfg, ts), p12(cfg, ts))
+
 
 class TestThermal:
     def test_starts_at_zero(self, rng):
@@ -181,10 +199,8 @@ class TestCorrelated:
         assert correlated_ground_state(250.0, 300.0, 2 * q0, 6, 6).branch == "bath1_up"
 
     def test_ground_state_degenerate_equal_alphas(self):
-        branch = correlated_ground_state(250.0, 250.0, 100.0, 6, 6,
-                                         theta=0.3, phi=1.0)
+        branch = correlated_ground_state(250.0, 250.0, 100.0, 6, 6)
         assert branch.branch == "degenerate_superposition"
-        assert branch.theta == 0.3 and branch.phi == 1.0
 
     def test_ground_state_degenerate_at_threshold(self):
         q0 = q_threshold(300.0, 250.0, 4, 4)
@@ -200,20 +216,13 @@ class TestCorrelated:
             assert delta0_correlated(cfg, branch).value == \
                 detuning_zero_temp(cfg).value
 
-    def test_delta0_degenerate_balanced(self):
+    def test_delta0_degenerate_uses_bath2_up_corner(self):
         cfg = make_config(eps1=0, eps2=20, gamma1=1.0, gamma2=2.0, N1=6, N2=4)
-        branch = correlated_ground_state(250.0, 250.0, 200.0, 6, 4,
-                                         theta=math.pi / 4)
-        assert delta0_correlated(cfg, branch).value == pytest.approx(10.0, abs=1e-12)
-
-    def test_delta0_ignores_phi(self):
-        cfg = make_config(gamma1=1.0, gamma2=2.0, N1=6, N2=4)
-        for theta in (0.0, 0.4, 1.2):
-            vals = {delta0_correlated(
-                cfg, correlated_ground_state(250.0, 250.0, 200.0, 6, 4,
-                                             theta=theta, phi=phi)).value
-                for phi in (0.0, 1.0, 3.0, 6.0)}
-            assert len(vals) == 1
+        branch = correlated_ground_state(250.0, 250.0, 200.0, 6, 4)
+        assert branch.branch == "degenerate_superposition"
+        assert delta0_correlated(cfg, branch).value == 13.5
+        assert delta0_correlated(cfg, branch) == \
+            delta0_correlated(cfg, GroundStateBranch(branch="bath2_up"))
 
     def test_q_zero_reduces_to_uncorrelated(self):
         cfg = make_config(gamma1=0.7, gamma2=2.0, N1=3, N2=20, q=0.0)
@@ -238,6 +247,36 @@ class TestCorrelated:
         cfg = make_config(q=5.0, thermal=ThermalSpec.kelvin(77.0))
         with pytest.raises(ValueError):
             p12_correlated_zero_temp(cfg, 0.1)
+
+
+class TestClassifierBoundary:
+    """q within a relative 1e-12 of q0, or alpha1 within 1e-12 of alpha2
+    above q0, is degenerate; anything outside that band is not."""
+    alpha1, alpha2, N1, N2 = 300.0, 250.0, 6, 6
+
+    def label(self, q, alpha1=None):
+        a1 = self.alpha1 if alpha1 is None else alpha1
+        return correlated_ground_state(a1, self.alpha2, q, self.N1, self.N2).branch
+
+    def q0(self):
+        return q_threshold(self.alpha1, self.alpha2, self.N1, self.N2)
+
+    def test_inside_band_is_degenerate(self):
+        q0 = self.q0()
+        for q in (q0, q0 * (1 - 0.5e-12), q0 * (1 + 0.5e-12),
+                  np.nextafter(q0, 0.0), np.nextafter(q0, np.inf)):
+            assert self.label(float(q)) == "degenerate_superposition"
+
+    def test_outside_band_picks_a_corner(self):
+        q0 = self.q0()
+        assert self.label(q0 * (1 - 2e-12)) == "both_down"
+        assert self.label(q0 * (1 + 2e-12)) == "bath2_up"
+
+    def test_alphas_one_ulp_apart_are_degenerate_above_threshold(self):
+        alpha1 = float(np.nextafter(self.alpha2, np.inf))
+        q0 = q_threshold(alpha1, self.alpha2, self.N1, self.N2)
+        assert self.label(2 * q0, alpha1=alpha1) == "degenerate_superposition"
+        assert self.label(0.5 * q0, alpha1=alpha1) == "both_down"
 
 
 class TestAssistance:

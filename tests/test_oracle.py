@@ -6,7 +6,7 @@ import pytest
 
 from dimerbath import (OracleSizeError, ThermalSpec, brute_force_bath_ground,
                        build_hamiltonian, correlated_ground_state,
-                       evolve_probability, p12_thermal, q_threshold,
+                       evolve_probability, oracle, p12_thermal, q_threshold,
                        rabi_probability, thermal_ensemble)
 from dimerbath.oracle import _bath_magnetizations, _dimer_blocks
 from conftest import make_config, random_config
@@ -176,6 +176,20 @@ class TestBlockEvolution:
             ts = np.linspace(0, 2, 50)
             np.testing.assert_allclose(evolve_probability(cfg, ts),
                                        p12_thermal(cfg, ts), rtol=0, atol=1e-8)
+
+    def test_enumerates_bath_states_once(self, monkeypatch):
+        calls = []
+
+        def spy(n1, n2):
+            calls.append((n1, n2))
+            return _bath_magnetizations(n1, n2)
+
+        monkeypatch.setattr(oracle, "_bath_magnetizations", spy)
+        for thermal in (ThermalSpec.kelvin(77.0), ThermalSpec.zero()):
+            calls.clear()
+            cfg = make_config(N1=3, N2=4, gamma1=1.0, q=2.0, thermal=thermal)
+            evolve_probability(cfg, np.linspace(0, 2, 10))
+            assert calls == [(3, 4)]
 
     def test_peak_memory_is_bounded(self):
         # evaluated in one piece, 2^16 bath states x 50 points would need
