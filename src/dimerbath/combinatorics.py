@@ -11,6 +11,7 @@ the public interface uses ordinary halves (exact in binary floats).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -126,23 +127,29 @@ class ThermalWeights:
         return np.exp(self.log_weights - self.log_z_shifted)
 
 
+@functools.lru_cache(maxsize=64)
+def _log_counts(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending magnetizations m of an N-spin bath and log g(m), read-only."""
+    g = magnetization_counts(N)
+    m = np.array(sorted(g), dtype=float)
+    lg = np.array([math.log(g[v]) for v in m])
+    m.flags.writeable = lg.flags.writeable = False
+    return m, lg
+
+
 def thermal_weights(config: SystemConfig) -> ThermalWeights:
     """Degeneracy-weighted canonical weights of the (possibly Ising-coupled) baths.
 
     weight(m1, m2) ~ g1(m1) g2(m2) exp(-beta (a1 m1 + a2 m2 + q m1 m2)).
+    m1 and m2 are shared read-only arrays.
     """
     beta = config.thermal.beta
     b1, b2 = config.bath1, config.bath2
     q = config.correlation.q
 
-    g1 = magnetization_counts(b1.N)
-    g2 = magnetization_counts(b2.N)
-    m1 = np.array(sorted(g1), dtype=float)
-    m2 = np.array(sorted(g2), dtype=float)
-    lg1 = np.array([math.log(g1[m]) for m in m1])
-    lg2 = np.array([math.log(g2[m]) for m in m2])
-
-    M1, M2 = np.meshgrid(m1, m2, indexing="ij")
+    m1, lg1 = _log_counts(b1.N)
+    m2, lg2 = _log_counts(b2.N)
+    M1, M2 = m1[:, None], m2[None, :]
     lw = (lg1[:, None] + lg2[None, :]
           - beta * (b1.alpha * M1 + b2.alpha * M2 + q * M1 * M2))
     lw = lw - lw.max()

@@ -158,6 +158,77 @@ def _rabi_average_paired(J: float, detunings: np.ndarray, weights: np.ndarray,
     return out
 
 
+def _rabi_slopes(J: float, detunings: np.ndarray, weights: np.ndarray,
+                 rows: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(P', P'') of _rabi_average_paired at every t[i], in closed form.
+
+    P' = J^2 sum_k w_k sin(2 omega_k t)/omega_k and
+    P'' = 2 J^2 sum_k w_k cos(2 omega_k t), with w = weights[rows[i]].
+    Like the paired kernel, each value depends on its own entry only.
+    """
+    omega = np.sqrt(J * J + detunings * detunings)
+    slope, curvature = np.empty(t.size), np.empty(t.size)
+    step = max(1, _KERNEL_BLOCK // detunings.size)
+    for lo in range(0, t.size, step):
+        block = slice(lo, lo + step)
+        phase = 2.0 * np.multiply.outer(t[block], omega)
+        w = weights[rows[block]]
+        slope[block] = (w * (np.sin(phase) / omega)).sum(axis=-1)
+        curvature[block] = (w * np.cos(phase)).sum(axis=-1)
+    return J * J * slope, 2.0 * J * J * curvature
+
+
+def _rabi_scan(J: float, detunings: np.ndarray, weights: np.ndarray,
+               t0: float, dt: float, steps: int) -> np.ndarray:
+    """_rabi_average on the uniform grid t0 + j dt, j < steps, by angle addition.
+
+    With c_k = w_k J^2/omega_k^2, P(t) = sum_k c_k/2 - sum_k c_k cos(2 omega_k t)/2.
+    The grid is cut into runs of B = 2h + 1 steps around centres T_u, and
+    cos(2 omega (T_u +- v dt)) = cos x cos y -+ sin x sin y with x, y the
+    phases of T_u and of v dt.  So a weight row's scan is a pair of matrix
+    products per block of detunings, over cos/sin tables of the centres
+    and of the offsets 0..h: 2 (steps/B + h + 1) K sines and cosines
+    instead of steps K sines.  The blocks bound the tables' memory.  A
+    stacked matmul makes one product per row, and the blocks depend only on
+    steps and the number of detunings, so a row gives the same bits
+    whatever rows it is batched with.  The result agrees with _rabi_average
+    in absolute, not relative, terms.
+    """
+    omega2 = J * J + detunings * detunings
+    two_omega = 2.0 * np.sqrt(omega2)
+    # B about sqrt(8 steps): the offset tables are the larger, as they are
+    # not scaled per row
+    half = math.isqrt(8 * steps) // 2
+    n_fine = 2 * half + 1
+    n_coarse = -(-steps // n_fine)
+    centres = t0 + dt * (half + n_fine * np.arange(n_coarse))
+    offsets = dt * np.arange(half + 1)
+    c = weights * ((J * J) / omega2)
+    # [row, cos | sin, centre, offset]
+    acc = np.empty((len(c), 2, n_coarse, half + 1))
+    width = max(1, _KERNEL_BLOCK // (n_coarse + half + 1))
+    batch = max(1, _KERNEL_BLOCK // (2 * n_coarse * min(width, detunings.size)))
+    for lo in range(0, detunings.size, width):
+        x = np.multiply.outer(centres, two_omega[lo:lo + width])
+        y = np.multiply.outer(two_omega[lo:lo + width], offsets)
+        x_table = np.stack([np.cos(x), np.sin(x)])
+        y_table = np.stack([np.cos(y), np.sin(y)])
+        for r in range(0, len(c), batch):
+            scaled = x_table * c[r:r + batch, None, None, lo:lo + width]
+            if lo == 0:
+                np.matmul(scaled, y_table, out=acc[r:r + batch])
+            else:
+                acc[r:r + batch] += scaled @ y_table
+    # offsets -h..-1 take even + odd, offsets 0..h take even - odd
+    even, odd = acc[:, 0], acc[:, 1]
+    p = np.empty((len(c), n_coarse, n_fine))
+    np.add(even[:, :, :0:-1], odd[:, :, :0:-1], out=p[:, :, :half])
+    np.subtract(even, odd, out=p[:, :, half:])
+    np.subtract(c.sum(axis=-1)[:, None, None], p, out=p)
+    p *= 0.5
+    return p.reshape(len(c), -1)[:, :steps]
+
+
 def p12_thermal(config: SystemConfig, t):
     """Finite-temperature transition probability (q = 0 gives independent baths).
 

@@ -2,11 +2,14 @@
 
 The finite-temperature P(t) is almost periodic (incommensurate sector
 frequencies), so the maximum is located by a dense coarse scan followed by
-golden-section refinement around every coarse peak that could be the
-highest.  P factorises as K(t, D) @ W(D; beta, q) over the distinct
-detunings D, so a grid's cells are batched by detuning set: one kernel per
-set, one weight row per cell.  Zero-temperature configurations use the
-closed-form peak instead.
+refinement of every coarse peak that could be the highest: safeguarded
+Newton steps on the closed-form P' and P'', with golden section for a
+peak that has no sign change of P' next to it.  The scan only picks
+candidates; every reported P* is the direct kernel at its t*.  P
+factorises as K(t, D) @ W(D; beta, q) over the distinct detunings D, so a
+grid's cells are batched by detuning set: one scan per set, one weight row
+per cell.  Zero-temperature configurations use the closed-form peak
+instead.
 """
 
 from __future__ import annotations
@@ -17,10 +20,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import ConfigValidationError, SystemConfig, ThermalSpec, validated
-from .dynamics import (_detuning_groups, _ground_branch, _rabi_average,
-                       _rabi_average_paired, delta0_correlated, p12)
+from .dynamics import (_detuning_groups, _ground_branch, _rabi_average_paired,
+                       _rabi_scan, _rabi_slopes, delta0_correlated, p12)
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_EPS = float(np.finfo(float).eps)
 
 SWEEP_PARAMETERS = ("gamma1", "gamma2", "gamma_both", "q", "temperature", "J", "t")
 
@@ -95,20 +99,114 @@ def _golden_max(f, a: np.ndarray, b: np.ndarray, iterations: int,
     return t_out, p_out
 
 
-# absolute slack on the refinement bound, far above the rounding error of P
+# absolute slack on the candidate bounds, far above the rounding error of P
 _BOUND_SLACK = 1e-12
+# a refinement ends once its step or bracket is at most this many ulp of t
+_STEP_ULPS = 4
+
+
+def _converged(step: np.ndarray, t: np.ndarray) -> np.ndarray:
+    return np.abs(step) <= _STEP_ULPS * np.spacing(t)
+
+
+def _newton_max(slopes, t: np.ndarray, a: np.ndarray, b: np.ndarray,
+                iterations: int) -> tuple[np.ndarray, np.ndarray]:
+    """Local maxima of P next to every t_i within [a_i, b_i], all at once.
+
+    slopes(live, x) gives (P', P'') of the candidates live at the times x.
+    A candidate keeps the half of its bracket that P'(t_i) points into;
+    if P' does not fall from positive to negative across that half, it
+    has no bracket and is returned unmoved with a False mask entry.  The
+    others take a Newton step on P' = 0 when it lands inside the bracket,
+    P'' < 0 there, and it is at most half the step before last, and bisect
+    otherwise (rtsafe, Press et al., Numerical Recipes, sec. 9.4); the
+    bracket then shrinks to the new point on the side its slope says.  A
+    candidate stops once its step is at most _STEP_ULPS ulp, or after
+    `iterations` steps, and follows the same steps as it would on its own.
+    Returns (t, bracketed).
+    """
+    everyone = np.arange(t.size)
+    d1, d2 = slopes(everyone, t)
+    up = d1 > 0
+    far, _ = slopes(everyone, np.where(up, b, a))
+    bracketed = np.where(up, far < 0, far > 0)
+    t = t.copy()
+    lo, hi = np.where(up, t, a), np.where(up, b, t)
+    step = hi - lo
+    step_old = step.copy()
+    live = everyone[bracketed]
+    d1, d2 = d1[bracketed], d2[bracketed]
+    for i in range(iterations):
+        x, l, h = t[live], lo[live], hi[live]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = x - d1 / d2
+        use = ((d2 < 0) & (newton >= l) & (newton <= h)
+               & (np.abs(2.0 * d1) <= np.abs(step_old[live] * d2)))
+        x = np.where(use, newton, l + 0.5 * (h - l))
+        step_old[live] = step[live]
+        step[live] = x - t[live]
+        t[live] = x
+        moving = ~_converged(step[live], x)
+        live, x = live[moving], x[moving]
+        if live.size == 0 or i + 1 == iterations:
+            break
+        d1, d2 = slopes(live, x)
+        lo[live] = np.where(d1 > 0, x, lo[live])
+        hi[live] = np.where(d1 < 0, x, hi[live])
+    return t, bracketed
+
+
+def _scan_tolerance(J: float, window: TimeWindow) -> float:
+    """Bound on |_rabi_scan - direct kernel| over the window.
+
+    Both round the phase 2 omega t to a few ulp; through the amplitude
+    J^2/omega^2 that moves P by at most a few eps |J| t.
+    """
+    t_end = max(abs(window.t_min), abs(window.t_max))
+    return 8.0 * _EPS * (abs(J) * t_end + 1.0)
+
+
+def _candidates(J: float, omega: np.ndarray, weights: np.ndarray,
+                p: np.ndarray, p_best: np.ndarray, dt: float, tol: float):
+    """(rows, cols) of the coarse local maxima that could beat their row's best.
+
+    P over a sample's +-dt interval is bounded two ways.  M2 = 2 J^2 bounds
+    |P''|, so P there is at most the local maximum + M2 dt^2/8.  Inside the
+    grid, P is also at most the top of the parabola through the three
+    samples + M3 dt^3/(9 sqrt 3), where M3 = 4 J^2 sum_k w_k omega_k bounds
+    |P'''|.  A candidate whose bound, widened by the scan's error and
+    _BOUND_SLACK, is below its row's best sample cannot end above the
+    row's result, so dropping it changes no result.
+    """
+    padded = np.pad(p, ((0, 0), (1, 1)), constant_values=-np.inf)
+    before, after = padded[:, :-2], padded[:, 2:]
+    rows, cols = np.nonzero((p >= before) & (p >= after))
+    mid, left, right = p[rows, cols], before[rows, cols], after[rows, cols]
+    m3 = 4.0 * J * J * (weights * omega).sum(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        curvature = 2.0 * mid - left - right
+        lift = np.where(curvature > 0, (right - left) ** 2 / (8.0 * curvature), 0.0)
+    lift = lift + m3[rows] * dt ** 3 / (9.0 * math.sqrt(3.0))
+    # at the grid's edges only the first bound holds (lift is nan there)
+    lift = np.fmin(J * J * dt * dt / 4.0, lift)
+    keep = mid + lift + 3.0 * tol + _BOUND_SLACK >= p_best[rows]
+    return rows[keep], cols[keep]
 
 
 def _group_peaks(J: float, detunings: np.ndarray, weights: np.ndarray,
                  window: TimeWindow) -> list[tuple[float, float]]:
     """(t*, P*) of every weight row over one shared detuning set.
 
-    The coarse scan evaluates the kernel once for all rows.  Every coarse
-    local maximum within M2 dt^2/8 of the row's best sample is refined.
-    M2 = sum_k w_k amp_k 2 omega_k^2 = 2 J^2 bounds |P''|, so a true peak
-    above the best sample has a sample within dt/2 at least that high.
+    The coarse scan (_rabi_scan) only picks candidates: the coarse local
+    maxima whose interval could hold a peak above the row's best sample
+    (_candidates).  Each candidate is refined within +-dt: by safeguarded
+    Newton on the closed-form P' where P' changes sign next to it, by
+    golden section otherwise (a peak at the window's edge, say).  A row's
+    P* is the direct kernel (_rabi_average_paired) at its best refined
+    point, or at its best coarse sample when no refined point is higher.
     """
-    omega_max = math.sqrt(float((J * J + detunings * detunings).max()))
+    omega = np.sqrt(J * J + detunings * detunings)
+    omega_max = float(omega.max())
     # the coarse grid has to resolve the fastest sector oscillation
     dt = (window.t_max - window.t_min) / (window.coarse_steps - 1)
     if dt > math.pi / omega_max / 4.0:
@@ -117,47 +215,58 @@ def _group_peaks(J: float, detunings: np.ndarray, weights: np.ndarray,
             f"frequency {omega_max:.3g} ps^-1; need more coarse_steps")
 
     ts = np.linspace(window.t_min, window.t_max, window.coarse_steps)
-    p = _rabi_average(J, detunings, weights, ts)
+    p = _rabi_scan(J, detunings, weights, window.t_min, dt, window.coarse_steps)
+    n = len(p)
     i_best = p.argmax(axis=1)
-    p_best = p[np.arange(len(p)), i_best]
-    padded = np.pad(p, ((0, 0), (1, 1)), constant_values=-np.inf)
-    local = (p >= padded[:, :-2]) & (p >= padded[:, 2:])
-    band = 2.0 * J * J * dt * dt / 8.0
-    rows, cols = np.nonzero(local & (p >= (p_best - band)[:, None]))
-    best = p_best.copy()
-    live = rows
+    rows = np.empty(0, dtype=np.intp)
+    t_ref = np.empty(0)
+    if window.refine_iterations > 0:
+        rows, cols = _candidates(J, omega, weights, p, p[np.arange(n), i_best],
+                                 dt, _scan_tolerance(J, window))
+        t_ref = _refine(J, detunings, weights, rows, ts[cols], dt, window)
 
-    def f(t):
-        return _rabi_average_paired(J, detunings, weights, live, t)
-
-    def retire(c, d, fc, fd, width):
-        # On a bracket, P <= max(fc, fd) + |slope| width + (M2/2) width^2.
-        # A search whose bound is below its row's best value so far cannot
-        # end higher than the row's final result, so stopping it changes
-        # no result.
-        nonlocal live
-        top = np.maximum(fc, fd)
-        np.maximum.at(best, live, top)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            bound = top + np.abs(fd - fc) / (d - c) * width + J * J * width * width
-        stop = bound + _BOUND_SLACK < best[live]
-        live = live[~stop]
-        return stop
-
-    a = np.maximum(window.t_min, ts[cols] - dt)
-    b = np.minimum(window.t_max, ts[cols] + dt)
-    t_ref, p_ref = _golden_max(f, a, b, window.refine_iterations, retire)
-
-    # rows is sorted and every row has a candidate: its best sample
+    # rows is sorted and, when refining, every row has a candidate: its best sample
+    p_all = _rabi_average_paired(J, detunings, weights,
+                                 np.concatenate([rows, np.arange(n)]),
+                                 np.concatenate([t_ref, ts[i_best]]))
+    p_ref, p_coarse = p_all[:rows.size], p_all[rows.size:]
     peaks = []
-    bounds = np.searchsorted(rows, np.arange(len(p) + 1))
-    for r in range(len(p)):
-        k = bounds[r] + int(p_ref[bounds[r]:bounds[r + 1]].argmax())
-        if p_ref[k] > p_best[r]:
-            peaks.append((float(t_ref[k]), float(p_ref[k])))
-        else:
-            peaks.append((float(ts[i_best[r]]), float(p_best[r])))
+    bounds = np.searchsorted(rows, np.arange(n + 1))
+    for r in range(n):
+        if bounds[r] < bounds[r + 1]:
+            k = bounds[r] + int(p_ref[bounds[r]:bounds[r + 1]].argmax())
+            if p_ref[k] > p_coarse[r]:
+                peaks.append((float(t_ref[k]), float(p_ref[k])))
+                continue
+        peaks.append((float(ts[i_best[r]]), float(p_coarse[r])))
     return peaks
+
+
+def _refine(J, detunings, weights, rows, t, dt, window) -> np.ndarray:
+    """Refined peak time of every candidate (rows[i], t[i]) within +-dt."""
+    a = np.maximum(window.t_min, t - dt)
+    b = np.minimum(window.t_max, t + dt)
+
+    def slopes(live, x):
+        return _rabi_slopes(J, detunings, weights, rows[live], x)
+
+    out, bracketed = _newton_max(slopes, t, a, b, window.refine_iterations)
+    if not bracketed.all():
+        rest = ~bracketed
+        live = rows[rest]
+
+        def f(x):
+            return _rabi_average_paired(J, detunings, weights, live, x)
+
+        def retire(c, d, fc, fd, width):
+            nonlocal live
+            stop = _converged(width, c)
+            live = live[~stop]
+            return stop
+
+        out[rest], _ = _golden_max(f, a[rest], b[rest],
+                                   window.refine_iterations, retire)
+    return out
 
 
 def _thermal_peaks(configs, window: TimeWindow) -> list[tuple[float, float]]:
@@ -178,9 +287,11 @@ def max_over_time(config: SystemConfig,
 
     Zero-temperature configs return the exact closed-form peak.  Finite
     temperature scans the window on the coarse grid, then refines every
-    coarse local maximum that could hide a higher peak by golden section
-    within one coarse step; it never returns less than the best coarse
-    sample.  This is the one-cell case of a sweep, with the same bits.
+    coarse local maximum that could hide a higher peak within one coarse
+    step, by safeguarded Newton on P' (golden section where P' has no
+    sign change there), in at most window.refine_iterations steps.  P* is
+    the direct kernel at t*, never less than at the best coarse sample.
+    This is the one-cell case of a sweep, with the same bits.
     """
     validated(config)
     if window is None:

@@ -174,3 +174,39 @@ def test_thermal_weights_shift_invariance_bitwise():
     lw_shifted = tw.log_weights - beta * shift
     lw_shifted = lw_shifted - lw_shifted.max()
     assert np.array_equal(lw_shifted, tw.log_weights)
+
+
+def _thermal_weights_reference(config):
+    """thermal_weights as written before the per-N cache: dicts and meshgrid."""
+    beta = config.thermal.beta
+    b1, b2 = config.bath1, config.bath2
+    g1, g2 = magnetization_counts(b1.N), magnetization_counts(b2.N)
+    m1 = np.array(sorted(g1), dtype=float)
+    m2 = np.array(sorted(g2), dtype=float)
+    lg1 = np.array([math.log(g1[m]) for m in m1])
+    lg2 = np.array([math.log(g2[m]) for m in m2])
+    M1, M2 = np.meshgrid(m1, m2, indexing="ij")
+    lw = (lg1[:, None] + lg2[None, :]
+          - beta * (b1.alpha * M1 + b2.alpha * M2 + config.correlation.q * M1 * M2))
+    lw = lw - lw.max()
+    return m1, m2, lw
+
+
+def test_thermal_weights_bit_identical_to_uncached_reference(rng):
+    from conftest import random_config
+    for i in range(200):
+        cfg = random_config(rng, n_max=60 if i % 4 == 0 else 8)
+        for _ in range(2):   # the second call reads the cache
+            tw = thermal_weights(cfg)
+            m1, m2, lw = _thermal_weights_reference(cfg)
+            np.testing.assert_array_equal(tw.m1, m1)
+            np.testing.assert_array_equal(tw.m2, m2)
+            assert np.array_equal(tw.log_weights, lw)
+
+
+def test_cached_magnetizations_are_read_only():
+    tw = thermal_weights(make_config(N1=3, N2=4, thermal=ThermalSpec.kelvin(77.0)))
+    with pytest.raises(ValueError):
+        tw.m1[0] = 0.0
+    with pytest.raises(ValueError):
+        tw.m2[0] = 0.0

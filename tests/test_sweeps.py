@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -90,7 +91,6 @@ class TestSweep:
     def test_gamma_both_ties_couplings(self):
         cfg = make_config(N1=4, N2=4, thermal=ThermalSpec.kelvin(77.0))
         grid = sweep(cfg, [("gamma_both", [1.5])], TimeWindow(coarse_steps=800))
-        from dataclasses import replace
         tied = replace(cfg, bath1=replace(cfg.bath1, gamma=1.5),
                        bath2=replace(cfg.bath2, gamma=1.5))
         assert grid.values[0] == max_over_time(tied, TimeWindow(coarse_steps=800))[1]
@@ -197,3 +197,132 @@ class TestBatchedEngine:
         full = sweep(cfg, axes)
         np.testing.assert_array_equal(grid.values, full.values)
         np.testing.assert_array_equal(grid.t_star, full.t_star)
+
+    def test_raising_the_step_cap_changes_no_bit(self):
+        # every refinement stops on its own step test well inside the cap
+        cfg = make_config(N1=22, N2=20, thermal=ThermalSpec.kelvin(77.0))
+        axes = [("gamma_both", [0.0, 0.75, 2.0, 3.5]), ("q", [10.0, 30.0])]
+        grid = sweep(cfg, axes)
+        full = sweep(cfg, axes, TimeWindow(refine_iterations=1000))
+        np.testing.assert_array_equal(grid.values, full.values)
+        np.testing.assert_array_equal(grid.t_star, full.t_star)
+
+
+def _group(cfg):
+    from dimerbath.dynamics import _detuning_groups
+    [(J, detunings, _, weights)] = _detuning_groups([cfg])
+    return J, detunings, weights
+
+
+class TestNewtonEngine:
+    @pytest.mark.parametrize("steps", [2, 3, 800, 2000, 4001])
+    @pytest.mark.parametrize("sizes", [(1, 20), (22, 20), (200, 7), (200, 200)])
+    def test_scan_matches_direct_kernel(self, steps, sizes):
+        from dimerbath.dynamics import _rabi_average, _rabi_scan
+        from dimerbath.sweeps import _scan_tolerance
+        rng = np.random.default_rng(steps)
+        # the direct kernel on up to 400 of the samples, ends included
+        idx = np.unique(np.linspace(0, steps - 1, min(steps, 400)).astype(int))
+        for window in (TimeWindow(coarse_steps=steps),
+                       TimeWindow(t_min=0.5, t_max=1.7, coarse_steps=steps)):
+            gamma = float(rng.uniform(0.2, 4.0))
+            thermal = ThermalSpec.kelvin(float(rng.choice([77.0, 300.0])))
+            cfg = make_config(N1=sizes[0], gamma1=gamma, N2=sizes[1],
+                              gamma2=gamma * math.sqrt(2.0),
+                              q=float(rng.uniform(0.0, 40.0)), thermal=thermal)
+            J, detunings, weights = _group(cfg)
+            ts = np.linspace(window.t_min, window.t_max, steps)
+            dt = (window.t_max - window.t_min) / (steps - 1)
+            scan = _rabi_scan(J, detunings, weights, window.t_min, dt, steps)
+            assert scan.shape == (1, steps)
+            err = np.abs(scan[:, idx] - _rabi_average(J, detunings, weights, ts[idx])).max()
+            assert err <= 1e-14
+            assert err <= _scan_tolerance(J, window)
+
+    @pytest.mark.parametrize("sizes", [(22, 20), (200, 30)])
+    def test_scan_rows_do_not_see_each_other(self, sizes):
+        # (200, 30) spans several detuning blocks and row batches
+        from dimerbath.dynamics import _detuning_groups, _rabi_scan
+        cells = [make_config(N1=sizes[0], gamma1=1.3, N2=sizes[1],
+                             gamma2=1.3 * math.sqrt(2.0), q=q,
+                             thermal=ThermalSpec.kelvin(77.0))
+                 for q in np.linspace(0.0, 40.0, 9)]
+        [(J, detunings, _, weights)] = _detuning_groups(cells)
+        together = _rabi_scan(J, detunings, weights, 0.0, 2.0 / 1999, 2000)
+        for r in range(len(weights)):
+            alone = _rabi_scan(J, detunings, weights[r:r + 1], 0.0, 2.0 / 1999, 2000)
+            assert together[r].tobytes() == alone[0].tobytes()
+
+    def test_refined_peak_beats_a_denser_scan(self, rng):
+        from conftest import random_config
+        window = TimeWindow(coarse_steps=300)
+        dense_ts = np.linspace(window.t_min, window.t_max,
+                               100 * (window.coarse_steps - 1) + 1)
+        temperatures = [ThermalSpec.kelvin(77.0), ThermalSpec.kelvin(300.0), None]
+        for i in range(120):
+            cfg = random_config(rng, n_max=8)
+            if temperatures[i % 3] is not None:
+                cfg = replace(cfg, thermal=temperatures[i % 3])
+            t_star, p_star = max_over_time(cfg, window)
+            assert p_star >= p12_thermal(cfg, dense_ts).max() - 1e-12
+            assert abs(p_star - p12_thermal(cfg, t_star)) <= 1e-15
+
+    def test_headline_peaks_equal_p12_thermal_at_t_star(self):
+        cfg = make_config(N1=22, N2=20)
+        for thermal in (ThermalSpec.kelvin(77.0), ThermalSpec.kelvin(300.0)):
+            grid = sweep(replace(cfg, thermal=thermal),
+                         [("gamma_both", [0.0, 1.1, 2.6, 4.0]),
+                          ("q", [0.0, 12.0, 22.0, 23.0, 40.0])])
+            for idx in np.ndindex(grid.values.shape):
+                g, q = grid.axis1_values[idx[0]], grid.axis2_values[idx[1]]
+                cell = make_config(N1=22, gamma1=g, N2=20, gamma2=g, q=q,
+                                   thermal=thermal)
+                assert abs(grid.values[idx]
+                           - p12_thermal(cell, grid.t_star[idx])) <= 1e-15
+
+    def test_no_refinement_returns_direct_kernel_at_a_coarse_sample(self):
+        from dimerbath.dynamics import _rabi_average_paired
+        window = TimeWindow(refine_iterations=0)
+        ts = np.linspace(window.t_min, window.t_max, window.coarse_steps)
+        for gamma, q in ((0.75, 30.0), (2.0, 10.0), (3.5, 23.0)):
+            cfg = make_config(N1=22, gamma1=gamma, N2=20, gamma2=gamma, q=q,
+                              thermal=ThermalSpec.kelvin(77.0))
+            t_star, p_star = max_over_time(cfg, window)
+            assert t_star in ts
+            J, detunings, weights = _group(cfg)
+            direct = _rabi_average_paired(J, detunings, weights,
+                                          np.zeros(1, dtype=int), np.array([t_star]))
+            assert p_star == direct[0]
+            assert p_star >= p12_thermal(cfg, ts).max() - 1e-14
+
+    def test_newton_falls_back_to_bisection(self):
+        # P' = -atan(t - r): a Newton step from far out overshoots the
+        # bracket and then diverges, so only bisection brings it in
+        from dimerbath.sweeps import _newton_max
+        r = 0.37
+
+        def slopes(live, x):
+            return -np.arctan(x - r), -1.0 / (1.0 + (x - r) ** 2)
+        t, bracketed = _newton_max(slopes, np.array([r + 1.9]), np.array([r - 0.1]),
+                                   np.array([r + 2.0]), 60)
+        assert bracketed.all()
+        assert t[0] == pytest.approx(r, abs=1e-15)
+
+    def test_window_edge_peak_takes_golden_section(self, monkeypatch):
+        # P still rises at t_max, so P' has no sign change next to the
+        # last sample and the golden-section fallback refines it
+        import dimerbath.sweeps as sweeps
+        calls = []
+        golden = sweeps._golden_max
+
+        def spy(*args):
+            calls.append(args[1].size)
+            return golden(*args)
+        monkeypatch.setattr(sweeps, "_golden_max", spy)
+        cfg = make_config(gamma2=0.0, thermal=ThermalSpec.kelvin(300.0))
+        window = TimeWindow(t_max=0.1, coarse_steps=200)
+        t_star, p_star = max_over_time(cfg, window)
+        assert calls
+        dense = p12_thermal(cfg, np.linspace(0.0, 0.1, 100 * 199 + 1))
+        assert p_star >= dense.max() - 1e-12
+        assert t_star == pytest.approx(0.1, abs=1e-12)
