@@ -9,13 +9,11 @@ from .config import (BathParams, ConfigValidationError, CorrelationParams,
 from .combinatorics import (MultiplicityTable, ThermalWeights,
                             log_partition_function, magnetization_counts,
                             multiplicity, multiplicity_table, thermal_weights)
-from .dynamics import (AssistanceReport, DetuningSpec, GroundStateBranch,
-                       ResonanceSolution, assistance_condition,
-                       correlated_ground_state, delta0_correlated,
-                       detuning_sector, detuning_zero_temp, p12,
-                       p12_correlated_zero_temp, p12_thermal, p12_thermal_jm,
-                       p12_zero_temp, q_threshold, rabi_probability,
-                       resonance_gamma)
+from .dynamics import (AssistanceReport, GroundStateBranch, ResonanceSolution,
+                       assistance_condition, correlated_ground_state,
+                       delta0_correlated, p12, p12_correlated_zero_temp,
+                       p12_thermal, p12_thermal_jm, p12_zero_temp, q_threshold,
+                       rabi_probability, resonance_gamma)
 from .oracle import (DenseHamiltonian, OracleSizeError,
                      brute_force_bath_ground, build_hamiltonian,
                      evolve_probability, thermal_ensemble)

@@ -102,16 +102,13 @@ def _parse_axis(spec: str):
 
 
 def _window_from_args(args) -> TimeWindow:
-    return TimeWindow(t_min=args.t_min, t_max=args.t_max,
-                      coarse_steps=args.steps,
-                      refine_iterations=args.refine)
+    return TimeWindow(t_min=args.t_min, t_max=args.t_max, coarse_steps=args.steps)
 
 
-def _add_window_args(p, t_max=2.0, steps=2000):
+def _add_window_args(p):
     p.add_argument("--t-min", type=float, default=0.0)
-    p.add_argument("--t-max", type=float, default=t_max)
-    p.add_argument("--steps", type=int, default=steps)
-    p.add_argument("--refine", type=int, default=60)
+    p.add_argument("--t-max", type=float, default=2.0)
+    p.add_argument("--steps", type=int, default=2000)
 
 
 def _curve_command(args) -> int:
@@ -252,9 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
                            ("correlated-zero-temp", p12_correlated_zero_temp)):
         p = add(name, _curve_command, help=f"P(t) curve, {name} regime")
         p.set_defaults(evaluate=evaluate)
-        p.add_argument("--t-min", type=float, default=0.0)
-        p.add_argument("--t-max", type=float, default=2.0)
-        p.add_argument("--steps", type=int, default=2000)
+        _add_window_args(p)
         p.add_argument("--out", required=True)
 
     p = add("max", cmd_max, help="maximum of P over a time window")

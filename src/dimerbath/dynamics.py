@@ -4,9 +4,11 @@ Every regime reduces to the same Rabi form
 
     P(t) = J^2/(J^2 + D^2) * sin^2(t sqrt(J^2 + D^2))
 
-with an effective detuning D that depends on the bath state: the bare
-half-gap, the zero-temperature shifted value, a per-magnetization-sector
-value at finite temperature, or the correlated-ground-state expectation.
+with an effective detuning D, a plain float, set by the bath state.  In the
+magnetization sector (m1, m2) it is gap + (gamma2 m2 - gamma1 m1)/2; finite
+temperature averages the curve over all sectors with their thermal weights,
+and zero temperature takes the ground-state corner's detuning
+(delta0_correlated).
 """
 
 from __future__ import annotations
@@ -18,14 +20,6 @@ import numpy as np
 
 from .combinatorics import multiplicity, thermal_weights
 from .config import SystemConfig
-
-
-@dataclass(frozen=True)
-class DetuningSpec:
-    """An effective detuning (ps^-1) tagged with where it came from."""
-    value: float
-    provenance: str  # bare | zero_temperature | sector | correlated_ground_state
-    sector: tuple[float, float] | None = None
 
 
 @dataclass(frozen=True)
@@ -48,8 +42,8 @@ class ResonanceSolution:
 
 
 def rabi_probability(J: float, delta, t):
-    """Two-level transition probability at detuning delta (DetuningSpec or float)."""
-    d = delta.value if isinstance(delta, DetuningSpec) else float(delta)
+    """Two-level transition probability at detuning delta."""
+    d = float(delta)
     t = np.asarray(t, dtype=float)
     omega2 = J * J + d * d
     if omega2 == 0.0:
@@ -57,24 +51,6 @@ def rabi_probability(J: float, delta, t):
     else:
         p = (J * J / omega2) * np.sin(t * math.sqrt(omega2)) ** 2
     return float(p) if p.ndim == 0 else p
-
-
-def detuning_zero_temp(config: SystemConfig) -> DetuningSpec:
-    """Detuning with both baths frozen in their all-down ground state."""
-    b1, b2 = config.bath1, config.bath2
-    value = config.gap + (b1.gamma * b1.N - b2.gamma * b2.N) / 4.0
-    return DetuningSpec(value=value, provenance="zero_temperature")
-
-
-def detuning_sector(config: SystemConfig, m1: float, m2: float) -> DetuningSpec:
-    """Detuning in the bath magnetization sector (m1, m2)."""
-    for m, bath, label in ((m1, config.bath1, "m1"), (m2, config.bath2, "m2")):
-        two_m = round(2 * m)
-        if two_m != 2 * m or abs(two_m) > bath.N or (bath.N - two_m) % 2 != 0:
-            raise ValueError(f"{label}={m} is not a magnetization of an "
-                             f"N={bath.N} bath")
-    value = config.gap + (config.bath2.gamma * m2 - config.bath1.gamma * m1) / 2.0
-    return DetuningSpec(value=value, provenance="sector", sector=(m1, m2))
 
 
 def _sector_arrays(config: SystemConfig):
@@ -320,14 +296,12 @@ _BRANCH_SIGNS = {
 }
 
 
-def delta0_correlated(config: SystemConfig,
-                      branch: GroundStateBranch) -> DetuningSpec:
+def delta0_correlated(config: SystemConfig, branch: GroundStateBranch) -> float:
     """Detuning set by the correlated-bath ground state."""
     b1, b2 = config.bath1, config.bath2
     s1, s2 = _BRANCH_SIGNS[branch.branch]
-    # grouped so the both_down branch is bit-identical to detuning_zero_temp
-    value = config.gap + (s1 * b1.gamma * b1.N + s2 * b2.gamma * b2.N) / 4.0
-    return DetuningSpec(value=value, provenance="correlated_ground_state")
+    # grouped so a corner equals its sector detuning (dynamics docstring) bit for bit
+    return config.gap + (s1 * b1.gamma * b1.N + s2 * b2.gamma * b2.N) / 4.0
 
 
 def _ground_branch(config: SystemConfig) -> GroundStateBranch:
@@ -376,7 +350,7 @@ def assistance_condition(config: SystemConfig) -> AssistanceReport:
     if not config.thermal.is_zero_temperature:
         raise ValueError("assistance_condition is a zero-temperature statement")
     branch = _ground_branch(config)
-    delta0 = delta0_correlated(config, branch).value
+    delta0 = delta0_correlated(config, branch)
     scale = _energy_scale(config)
     satisfied = abs(delta0) <= _REL_TOL * max(scale, 1e-300)
     return AssistanceReport(regime=branch.branch, satisfied=satisfied,

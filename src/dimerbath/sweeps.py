@@ -9,7 +9,7 @@ candidates; every reported P* is the direct kernel at its t*.  P
 factorises as K(t, D) @ W(D; beta, q) over the distinct detunings D, so a
 grid's cells are batched by detuning set: one scan per set, one weight row
 per cell.  Zero-temperature configurations use the closed-form peak
-instead.
+instead; _peaks is the one place that tells the two regimes apart.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ import numpy as np
 
 from .config import ConfigValidationError, SystemConfig, ThermalSpec, validated
 from .dynamics import (_detuning_groups, _ground_branch, _rabi_average_paired,
-                       _rabi_scan, _rabi_slopes, delta0_correlated, p12)
+                       _rabi_scan, _rabi_slopes, delta0_correlated, p12,
+                       rabi_probability)
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _EPS = float(np.finfo(float).eps)
@@ -34,7 +35,6 @@ class TimeWindow:
     t_min: float = 0.0
     t_max: float = 2.0
     coarse_steps: int = 2000
-    refine_iterations: int = 60
 
     def __post_init__(self):
         if not (0.0 <= self.t_min < self.t_max):
@@ -54,11 +54,23 @@ class SweepGrid:
     argmax: dict
 
 
-def _zero_temp_peak(config: SystemConfig) -> tuple[float, float]:
-    d = delta0_correlated(config, _ground_branch(config)).value
+def _zero_temp_peak(config: SystemConfig, window: TimeWindow) -> tuple[float, float]:
+    """(t*, P*) of the zero-temperature Rabi curve over the window, in closed form.
+
+    A sin^2(omega t) peaks at A on t = (k + 1/2) pi/omega.  The first such
+    time at or after t_min is t* if it is at most t_max; otherwise the curve
+    has no peak in the window and the better end is t*.
+    """
+    d = delta0_correlated(config, _ground_branch(config))
     J = config.dimer.J
     omega = math.sqrt(J * J + d * d)
-    return math.pi / (2.0 * omega), J * J / (J * J + d * d)
+    k = math.ceil(window.t_min * omega / math.pi - 0.5)
+    t = max(window.t_min, (k + 0.5) * math.pi / omega)
+    if t <= window.t_max:
+        return t, J * J / (J * J + d * d)
+    p_min = rabi_probability(J, d, window.t_min)
+    p_max = rabi_probability(J, d, window.t_max)
+    return (window.t_min, p_min) if p_min >= p_max else (window.t_max, p_max)
 
 
 def _golden_max(f, a: np.ndarray, b: np.ndarray, iterations: int,
@@ -103,6 +115,9 @@ def _golden_max(f, a: np.ndarray, b: np.ndarray, iterations: int,
 _BOUND_SLACK = 1e-12
 # a refinement ends once its step or bracket is at most this many ulp of t
 _STEP_ULPS = 4
+# cap on the Newton (or golden) steps of one refinement, far above the
+# handful it takes to reach _STEP_ULPS; 0 keeps the coarse samples
+_REFINE_ITERATIONS = 60
 
 
 def _converged(step: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -220,7 +235,7 @@ def _group_peaks(J: float, detunings: np.ndarray, weights: np.ndarray,
     i_best = p.argmax(axis=1)
     rows = np.empty(0, dtype=np.intp)
     t_ref = np.empty(0)
-    if window.refine_iterations > 0:
+    if _REFINE_ITERATIONS > 0:
         rows, cols = _candidates(J, omega, weights, p, p[np.arange(n), i_best],
                                  dt, _scan_tolerance(J, window))
         t_ref = _refine(J, detunings, weights, rows, ts[cols], dt, window)
@@ -250,7 +265,7 @@ def _refine(J, detunings, weights, rows, t, dt, window) -> np.ndarray:
     def slopes(live, x):
         return _rabi_slopes(J, detunings, weights, rows[live], x)
 
-    out, bracketed = _newton_max(slopes, t, a, b, window.refine_iterations)
+    out, bracketed = _newton_max(slopes, t, a, b, _REFINE_ITERATIONS)
     if not bracketed.all():
         rest = ~bracketed
         live = rows[rest]
@@ -264,41 +279,45 @@ def _refine(J, detunings, weights, rows, t, dt, window) -> np.ndarray:
             live = live[~stop]
             return stop
 
-        out[rest], _ = _golden_max(f, a[rest], b[rest],
-                                   window.refine_iterations, retire)
+        out[rest], _ = _golden_max(f, a[rest], b[rest], _REFINE_ITERATIONS, retire)
     return out
 
 
-def _thermal_peaks(configs, window: TimeWindow) -> list[tuple[float, float]]:
-    """(t*, P*) of finite-temperature configs, one kernel per detuning set.
+def _peaks(configs, window: TimeWindow):
+    """Yield (i, (t*, P*)) over the window for the i-th config of an iterable.
 
-    A cell's result does not depend on which other cells come with it.
+    Zero-temperature configs take the closed-form peak as they arrive, so
+    a stream of them is never held at once.  Finite-temperature configs
+    follow at the end, grouped by detuning set, one kernel per set.  A
+    config's result does not depend on which other configs come with it.
     """
-    peaks = [None] * len(configs)
-    for J, detunings, cells, weights in _detuning_groups(configs):
-        for i, peak in zip(cells, _group_peaks(J, detunings, weights, window)):
-            peaks[i] = peak
-    return peaks
+    finite = []
+    for i, config in enumerate(configs):
+        if config.thermal.is_zero_temperature:
+            yield i, _zero_temp_peak(config, window)
+        else:
+            finite.append((i, config))
+    for J, detunings, cells, weights in _detuning_groups(c for _, c in finite):
+        for k, peak in zip(cells, _group_peaks(J, detunings, weights, window)):
+            yield finite[k][0], peak
 
 
 def max_over_time(config: SystemConfig,
                   window: TimeWindow | None = None) -> tuple[float, float]:
     """(t*, P*) of the transition probability over the window.
 
-    Zero-temperature configs return the exact closed-form peak.  Finite
-    temperature scans the window on the coarse grid, then refines every
-    coarse local maximum that could hide a higher peak within one coarse
-    step, by safeguarded Newton on P' (golden section where P' has no
-    sign change there), in at most window.refine_iterations steps.  P* is
-    the direct kernel at t*, never less than at the best coarse sample.
-    This is the one-cell case of a sweep, with the same bits.
+    Zero-temperature configs return the exact closed-form peak: the first
+    Rabi peak in the window, or the better end of a window that holds
+    none.  Finite temperature scans the window on the coarse grid, then
+    refines every coarse local maximum that could hide a higher peak
+    within one coarse step, by safeguarded Newton on P' (golden section
+    where P' has no sign change there).  P* is the direct kernel at t*,
+    never less than at the best coarse sample.  This is the one-cell case
+    of a sweep, with the same bits.
     """
     validated(config)
-    if window is None:
-        window = TimeWindow()
-    if config.thermal.is_zero_temperature:
-        return _zero_temp_peak(config)
-    return _thermal_peaks([config], window)[0]
+    [(_, peak)] = _peaks([config], TimeWindow() if window is None else window)
+    return peak
 
 
 def _apply_parameter(config: SystemConfig, name: str, value: float) -> SystemConfig:
@@ -338,9 +357,11 @@ def sweep(config: SystemConfig, axes, window: TimeWindow | None = None) -> Sweep
     """Grid of max-over-time values (or raw P(t) when one axis is time).
 
     axes: list of 1 or 2 (name, values) pairs; names from SWEEP_PARAMETERS.
-    Every axis value is validated before any cell is computed.  A cell's
-    (t*, P*) is bit-identical to max_over_time of its config, whatever the
-    grid around it.
+    Every axis value is validated before any cell is computed, so the
+    cells are not validated again.  Cells are generated one at a time and
+    go through the same _peaks as max_over_time: a cell's (t*, P*) is
+    bit-identical to max_over_time of its config, whatever the grid
+    around it.
     """
     validated(config)
     if window is None:
@@ -383,14 +404,8 @@ def sweep(config: SystemConfig, axes, window: TimeWindow | None = None) -> Sweep
                 cfg = _apply_parameter(cfg, names[ax], float(values[ax][i]))
             return cfg
 
-        if config.thermal.is_zero_temperature and "temperature" not in names:
-            for idx in np.ndindex(shape):
-                tgrid[idx], grid[idx] = max_over_time(cell_config(idx), window)
-        else:
-            cells = list(np.ndindex(shape))
-            peaks = _thermal_peaks([cell_config(idx) for idx in cells], window)
-            for idx, (t_star, p_star) in zip(cells, peaks):
-                grid[idx], tgrid[idx] = p_star, t_star
+        for i, (t_star, p_star) in _peaks(map(cell_config, np.ndindex(shape)), window):
+            tgrid.flat[i], grid.flat[i] = t_star, p_star
 
     best = np.unravel_index(int(grid.argmax()), shape)
     argmax = {

@@ -3,13 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from dimerbath import (DetuningSpec, GroundStateBranch, ThermalSpec,
-                       assistance_condition, correlated_ground_state,
-                       delta0_correlated, detuning_sector, detuning_zero_temp,
-                       p12, p12_correlated_zero_temp, p12_thermal,
-                       p12_thermal_jm, p12_zero_temp, q_threshold,
-                       rabi_probability, resonance_gamma, thermal_weights)
+from dimerbath import (GroundStateBranch, ThermalSpec, assistance_condition,
+                       correlated_ground_state, delta0_correlated, p12,
+                       p12_correlated_zero_temp, p12_thermal, p12_thermal_jm,
+                       p12_zero_temp, q_threshold, rabi_probability,
+                       resonance_gamma, thermal_weights)
+from dimerbath.dynamics import _sector_arrays
 from conftest import make_config, random_config
+
+BOTH_DOWN = GroundStateBranch(branch="both_down")
+
+
+def sector_detuning(cfg, m1, m2):
+    """Detuning of the magnetization sector (m1, m2), written out."""
+    return cfg.gap + (cfg.bath2.gamma * m2 - cfg.bath1.gamma * m1) / 2.0
 
 
 class TestRabi:
@@ -23,10 +30,6 @@ class TestRabi:
     def test_detuned_peak_is_half(self):
         ts = np.linspace(0, 5, 200001)
         assert rabi_probability(10.0, 10.0, ts).max() == pytest.approx(0.5, abs=1e-9)
-
-    def test_accepts_detuning_spec(self):
-        spec = DetuningSpec(value=4.0, provenance="bare")
-        assert rabi_probability(3.0, spec, 0.3) == rabi_probability(3.0, 4.0, 0.3)
 
     def test_time_energy_scaling(self, rng):
         # p(t; J, D) == p(s t; J/s, D/s)
@@ -47,36 +50,42 @@ class TestRabi:
 class TestDetunings:
     def test_zero_temp_compensation(self):
         cfg = make_config(eps1=0, eps2=20, gamma1=0.0, gamma2=2.0, N2=20)
-        assert detuning_zero_temp(cfg).value == 0.0
+        assert delta0_correlated(cfg, BOTH_DOWN) == 0.0
 
     def test_zero_temp_decoupled(self):
         cfg = make_config(eps1=0, eps2=20, gamma1=0.0, gamma2=0.0)
-        assert detuning_zero_temp(cfg).value == 10.0
+        assert delta0_correlated(cfg, BOTH_DOWN) == 10.0
 
     def test_zero_temp_cancelling_baths(self):
         cfg = make_config(N1=10, gamma1=4.0, N2=20, gamma2=2.0)
-        assert detuning_zero_temp(cfg).value == cfg.gap
+        assert delta0_correlated(cfg, BOTH_DOWN) == cfg.gap
 
     def test_sector_reduces_to_zero_temp_at_ground(self):
         cfg = make_config(N1=7, gamma1=1.3, N2=4, gamma2=-0.7)
-        assert detuning_sector(cfg, -3.5, -2.0).value == \
-            detuning_zero_temp(cfg).value
+        assert sector_detuning(cfg, -3.5, -2.0) == delta0_correlated(cfg, BOTH_DOWN)
+
+    def test_sector_arrays_cover_the_magnetization_grid(self, rng):
+        # one detuning per (m1, m2), m = -N/2, -N/2 + 1, ..., N/2, row-major
+        for _ in range(20):
+            cfg = random_config(rng)
+            m1 = np.arange(-cfg.bath1.N, cfg.bath1.N + 1, 2) / 2.0
+            m2 = np.arange(-cfg.bath2.N, cfg.bath2.N + 1, 2) / 2.0
+            _, delta = _sector_arrays(cfg)
+            assert delta.tolist() == [sector_detuning(cfg, float(a), float(b))
+                                      for a in m1 for b in m2]
 
     def test_sector_gamma_free(self):
-        cfg = make_config(N1=4, N2=4, gamma1=0.0, gamma2=0.0)
-        for m1 in (-2.0, 0.0, 2.0):
-            assert detuning_sector(cfg, m1, 1.0).value == cfg.gap
+        cfg = make_config(N1=4, N2=4, gamma1=0.0, gamma2=0.0,
+                          thermal=ThermalSpec.kelvin(77.0))
+        _, delta = _sector_arrays(cfg)
+        assert (delta == cfg.gap).all()
 
     def test_sector_hand_value(self):
-        cfg = make_config(eps1=0, eps2=20, gamma1=0.0, gamma2=2.0, N2=20)
-        assert detuning_sector(cfg, -0.5, -10.0).value == 0.0
-
-    def test_sector_rejects_out_of_range(self):
-        cfg = make_config(N1=4, N2=4)
-        with pytest.raises(ValueError):
-            detuning_sector(cfg, 3.0, 0.0)
-        with pytest.raises(ValueError):
-            detuning_sector(cfg, 0.5, 0.0)  # wrong parity for even N
+        # with gamma1 = 0 the sectors (+-1/2, -10) are the compensated ones
+        cfg = make_config(eps1=0, eps2=20, gamma1=0.0, gamma2=2.0, N2=20,
+                          thermal=ThermalSpec.kelvin(77.0))
+        _, delta = _sector_arrays(cfg)
+        assert np.flatnonzero(delta == 0.0).tolist() == [0, 21]
 
 
 class TestZeroTemperature:
@@ -164,7 +173,7 @@ class TestThermal:
             best = 0.0
             for m1 in tw.m1:
                 for m2 in tw.m2:
-                    d = detuning_sector(cfg, float(m1), float(m2)).value
+                    d = sector_detuning(cfg, float(m1), float(m2))
                     best = max(best, cfg.dimer.J ** 2 / (cfg.dimer.J ** 2 + d * d))
             ts = np.linspace(0, 2, 2001)
             assert p12_thermal(cfg, ts).max() <= best + 1e-12
@@ -213,14 +222,14 @@ class TestCorrelated:
             branch = correlated_ground_state(abs(cfg.bath1.alpha) + 1,
                                              abs(cfg.bath2.alpha) + 1, 0.0,
                                              cfg.bath1.N, cfg.bath2.N)
-            assert delta0_correlated(cfg, branch).value == \
-                detuning_zero_temp(cfg).value
+            assert delta0_correlated(cfg, branch) == sector_detuning(
+                cfg, -cfg.bath1.N / 2, -cfg.bath2.N / 2)
 
     def test_delta0_degenerate_uses_bath2_up_corner(self):
         cfg = make_config(eps1=0, eps2=20, gamma1=1.0, gamma2=2.0, N1=6, N2=4)
         branch = correlated_ground_state(250.0, 250.0, 200.0, 6, 4)
         assert branch.branch == "degenerate_superposition"
-        assert delta0_correlated(cfg, branch).value == 13.5
+        assert delta0_correlated(cfg, branch) == 13.5
         assert delta0_correlated(cfg, branch) == \
             delta0_correlated(cfg, GroundStateBranch(branch="bath2_up"))
 

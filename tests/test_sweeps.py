@@ -4,8 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import dimerbath.sweeps as sweeps
 from dimerbath import (ThermalSpec, TimeWindow, assistance_gain,
-                       max_over_time, p12_thermal, sweep)
+                       max_over_time, p12, p12_thermal, sweep)
 from conftest import make_config
 
 
@@ -46,6 +47,22 @@ class TestMaxOverTime:
         t_star, p_star = max_over_time(cfg, window)
         ts = np.linspace(window.t_min, window.t_max, window.coarse_steps)
         assert p_star >= p12_thermal(cfg, ts).max() - 1e-15
+
+    @pytest.mark.parametrize("J, eps2, window", [
+        (0.5, 0.0, TimeWindow()),                       # first peak at pi > t_max
+        (10.0, 20.0, TimeWindow(t_min=0.5, t_max=0.6)),  # third peak, 0.555
+        (10.0, 20.0, TimeWindow(t_min=0.56, t_max=0.7)),  # no peak inside
+    ])
+    def test_zero_temp_peak_lies_in_the_window(self, J, eps2, window):
+        cfg = make_config(eps1=0.0, eps2=eps2, J=J)
+        t_star, p_star = max_over_time(cfg, window)
+        assert window.t_min <= t_star <= window.t_max
+        assert p_star == pytest.approx(p12(cfg, t_star), abs=1e-15)
+        # gamma1 = gamma2 = 0: the thermal twin has the same single-detuning curve
+        twin = max_over_time(replace(cfg, thermal=ThermalSpec.kelvin(300.0)), window)
+        assert p_star == pytest.approx(twin[1], abs=1e-12)
+        dense = p12(cfg, np.linspace(window.t_min, window.t_max, 100001)).max()
+        assert dense - 1e-12 <= p_star <= dense + 1e-6
 
     def test_coarse_resolution_guard(self):
         cfg = make_config(gamma2=4.0, thermal=ThermalSpec.kelvin(77.0))
@@ -127,21 +144,33 @@ class TestAssistanceGain:
 
 
 class TestBatchedEngine:
-    @pytest.mark.parametrize("window", [TimeWindow(), TimeWindow(refine_iterations=0)])
-    def test_every_cell_equals_max_over_time(self, window):
+    @pytest.mark.parametrize("window", [TimeWindow(), TimeWindow(t_min=0.5, t_max=0.6)])
+    def test_every_cell_equals_max_over_time(self, window, monkeypatch):
         # cells share a kernel across q, and the 2000-step scan spans two
         # kernel blocks; no cell may see its neighbours.  Without refinement
         # most cells return a coarse sample, so the scan's bits show too.
-        thermal = ThermalSpec.kelvin(300.0)
+        # Zero-T cells take the closed form, or the thermal path under a
+        # temperature axis.
+        zero, hot = ThermalSpec.zero(), ThermalSpec.kelvin(300.0)
         gammas, qs = [0.0, 1.3, 2.9], [0.0, 17.0, 30.0, 40.0]
-        grid = sweep(make_config(N1=22, N2=20, thermal=thermal),
-                     [("gamma_both", gammas), ("q", qs)], window)
-        for i, g in enumerate(gammas):
-            for j, q in enumerate(qs):
-                cell = make_config(N1=22, gamma1=g, N2=20, gamma2=g, q=q,
-                                   thermal=thermal)
-                assert ((grid.t_star[i, j], grid.values[i, j])
-                        == max_over_time(cell, window))
+        # (base temperature, first axis, the config of a cell)
+        cases = [
+            (hot, ("gamma_both", gammas), lambda g, q: make_config(
+                N1=22, gamma1=g, N2=20, gamma2=g, q=q, thermal=hot)),
+            (zero, ("gamma_both", gammas), lambda g, q: make_config(
+                N1=22, gamma1=g, N2=20, gamma2=g, q=q, thermal=zero)),
+            (zero, ("temperature", [77.0, 300.0]), lambda T, q: make_config(
+                N1=22, gamma1=1.3, N2=20, gamma2=1.3, q=q, thermal=ThermalSpec.kelvin(T))),
+        ]
+        for refine in (sweeps._REFINE_ITERATIONS, 0):
+            monkeypatch.setattr(sweeps, "_REFINE_ITERATIONS", refine)
+            for thermal, (name, values), cell in cases:
+                base = make_config(N1=22, gamma1=1.3, N2=20, gamma2=1.3, thermal=thermal)
+                grid = sweep(base, [(name, values), ("q", qs)], window)
+                for i, v in enumerate(values):
+                    for j, q in enumerate(qs):
+                        assert ((grid.t_star[i, j], grid.values[i, j])
+                                == max_over_time(cell(v, q), window))
 
     def test_refines_every_candidate_peak(self):
         # two near-equal peaks: refining only the best coarse sample polished
@@ -189,7 +218,6 @@ class TestBatchedEngine:
         assert 0.0 < p_star <= 1.0 and 0.0 <= t_star <= 2.0
 
     def test_retiring_hopeless_searches_changes_no_result(self, monkeypatch):
-        import dimerbath.sweeps as sweeps
         cfg = make_config(N1=22, N2=20, thermal=ThermalSpec.kelvin(77.0))
         axes = [("gamma_both", [0.75, 2.0, 3.5]), ("q", [10.0, 30.0])]
         grid = sweep(cfg, axes)
@@ -198,12 +226,13 @@ class TestBatchedEngine:
         np.testing.assert_array_equal(grid.values, full.values)
         np.testing.assert_array_equal(grid.t_star, full.t_star)
 
-    def test_raising_the_step_cap_changes_no_bit(self):
+    def test_raising_the_step_cap_changes_no_bit(self, monkeypatch):
         # every refinement stops on its own step test well inside the cap
         cfg = make_config(N1=22, N2=20, thermal=ThermalSpec.kelvin(77.0))
         axes = [("gamma_both", [0.0, 0.75, 2.0, 3.5]), ("q", [10.0, 30.0])]
         grid = sweep(cfg, axes)
-        full = sweep(cfg, axes, TimeWindow(refine_iterations=1000))
+        monkeypatch.setattr(sweeps, "_REFINE_ITERATIONS", 1000)
+        full = sweep(cfg, axes)
         np.testing.assert_array_equal(grid.values, full.values)
         np.testing.assert_array_equal(grid.t_star, full.t_star)
 
@@ -280,9 +309,10 @@ class TestNewtonEngine:
                 assert abs(grid.values[idx]
                            - p12_thermal(cell, grid.t_star[idx])) <= 1e-15
 
-    def test_no_refinement_returns_direct_kernel_at_a_coarse_sample(self):
+    def test_no_refinement_returns_direct_kernel_at_a_coarse_sample(self, monkeypatch):
         from dimerbath.dynamics import _rabi_average_paired
-        window = TimeWindow(refine_iterations=0)
+        monkeypatch.setattr(sweeps, "_REFINE_ITERATIONS", 0)
+        window = TimeWindow()
         ts = np.linspace(window.t_min, window.t_max, window.coarse_steps)
         for gamma, q in ((0.75, 30.0), (2.0, 10.0), (3.5, 23.0)):
             cfg = make_config(N1=22, gamma1=gamma, N2=20, gamma2=gamma, q=q,
@@ -311,7 +341,6 @@ class TestNewtonEngine:
     def test_window_edge_peak_takes_golden_section(self, monkeypatch):
         # P still rises at t_max, so P' has no sign change next to the
         # last sample and the golden-section fallback refines it
-        import dimerbath.sweeps as sweeps
         calls = []
         golden = sweeps._golden_max
 
