@@ -211,6 +211,8 @@ def cmd_ground_state(args) -> int:
 
 def cmd_oracle_check(args) -> int:
     started = time.monotonic()
+    if args.points < 1:
+        raise ConfigValidationError([f"--points must be >= 1, got {args.points}"])
     config = load_config(args.config)
     if args.n1 is not None:
         config = replace(config, bath1=replace(config.bath1, N=args.n1))

@@ -54,7 +54,13 @@ def rabi_probability(J: float, delta, t):
 
 
 def _sector_arrays(config: SystemConfig):
-    """Flat (weights, detunings) over the magnetization grid at finite beta."""
+    """Flat (weights, detunings) of the bath states the config averages over.
+
+    Finite beta spans the magnetization grid; zero temperature is the one
+    ground-state corner (delta0_correlated).
+    """
+    if config.thermal.is_zero_temperature:
+        return np.ones(1), np.array([delta0_correlated(config, _ground_branch(config))])
     tw = thermal_weights(config)
     delta = config.gap + (config.bath2.gamma * tw.m2[None, :]
                           - config.bath1.gamma * tw.m1[:, None]) / 2.0
@@ -62,7 +68,7 @@ def _sector_arrays(config: SystemConfig):
 
 
 def _detuning_groups(configs):
-    """Finite-temperature configs grouped by detuning set, sectors merged.
+    """Configs grouped by detuning set, sectors merged.
 
     P(t) depends on a sector only through its detuning, so the weights of
     sectors that share one are summed.  Configs with the same J and the
@@ -86,51 +92,32 @@ def _detuning_groups(configs):
 
 
 # elements of one (times x detunings) block of the Rabi kernel; bounds the
-# memory of a scan whatever its length or the number of detunings
+# memory of a call whatever the number of times or detunings
 _KERNEL_BLOCK = 1 << 16
-
-
-def _rabi_kernel_blocks(J: float, detunings: np.ndarray, t: np.ndarray):
-    """Yield (block, K) over consecutive slices of the 1-D time array t.
-
-    K[i, k] = J^2/(J^2 + D_k^2) * sin^2(t[block][i] * sqrt(J^2 + D_k^2)).
-    """
-    omega2 = J * J + detunings * detunings
-    amp = (J * J) / omega2
-    omega = np.sqrt(omega2)
-    step = max(1, _KERNEL_BLOCK // detunings.size)
-    for lo in range(0, t.size, step):
-        block = slice(lo, lo + step)
-        yield block, amp * np.sin(np.multiply.outer(t[block], omega)) ** 2
-
-
-def _rabi_average(J: float, detunings: np.ndarray, weights: np.ndarray,
-                  t: np.ndarray) -> np.ndarray:
-    """sum_k weights[r, k] K(t_i, D_k) for every weight row r and time t_i.
-
-    Each weight row gets its own matrix-vector product per kernel block,
-    and the blocks depend only on t and the number of detunings, so a row
-    gives the same bits whatever other rows it is batched with.  A matrix
-    product over all rows at once would not: BLAS may sum a column in a
-    different order for a different batch width.
-    """
-    out = np.empty((len(weights), t.size))
-    for block, K in _rabi_kernel_blocks(J, detunings, t):
-        for r, w in enumerate(weights):
-            out[r, block] = K @ w
-    return out
 
 
 def _rabi_average_paired(J: float, detunings: np.ndarray, weights: np.ndarray,
                         rows: np.ndarray, t: np.ndarray) -> np.ndarray:
     """sum_k weights[rows[i], k] K(t[i], D_k) for every i, each at its own time.
 
-    Each value is the pairwise sum of its own contiguous row, so it does
-    not depend on the other entries of t.
+    K(t, D) = J^2/(J^2 + D^2) * sin^2(t sqrt(J^2 + D^2)).  The time axis is
+    evaluated in blocks, each in place.  Each value is the pairwise sum of
+    its own contiguous row, so it does not depend on the other entries of t.
     """
+    omega2 = J * J + detunings * detunings
+    # J^2 + D^2 underflows to 0 only where P = sin^2(|J| t) does too
+    amp = np.divide(J * J, omega2, out=np.zeros_like(omega2), where=omega2 > 0)
+    omega = np.sqrt(omega2)
     out = np.empty(t.size)
-    for block, K in _rabi_kernel_blocks(J, detunings, t):
-        out[block] = (weights[rows[block]] * K).sum(axis=-1)
+    step = max(1, _KERNEL_BLOCK // detunings.size)
+    for lo in range(0, t.size, step):
+        block = slice(lo, lo + step)
+        K = np.multiply.outer(t[block], omega)
+        np.sin(K, out=K)
+        np.square(K, out=K)
+        K *= amp
+        K *= weights[rows[block]]
+        out[block] = K.sum(axis=-1)
     return out
 
 
@@ -156,7 +143,7 @@ def _rabi_slopes(J: float, detunings: np.ndarray, weights: np.ndarray,
 
 def _rabi_scan(J: float, detunings: np.ndarray, weights: np.ndarray,
                t0: float, dt: float, steps: int) -> np.ndarray:
-    """_rabi_average on the uniform grid t0 + j dt, j < steps, by angle addition.
+    """The direct kernel on the uniform grid t0 + j dt, j < steps, by angle addition.
 
     With c_k = w_k J^2/omega_k^2, P(t) = sum_k c_k/2 - sum_k c_k cos(2 omega_k t)/2.
     The grid is cut into runs of B = 2h + 1 steps around centres T_u, and
@@ -167,8 +154,8 @@ def _rabi_scan(J: float, detunings: np.ndarray, weights: np.ndarray,
     instead of steps K sines.  The blocks bound the tables' memory.  A
     stacked matmul makes one product per row, and the blocks depend only on
     steps and the number of detunings, so a row gives the same bits
-    whatever rows it is batched with.  The result agrees with _rabi_average
-    in absolute, not relative, terms.
+    whatever rows it is batched with.  The result agrees with the direct
+    kernel (_rabi_average_paired) in absolute, not relative, terms.
     """
     omega2 = J * J + detunings * detunings
     two_omega = 2.0 * np.sqrt(omega2)
@@ -203,20 +190,6 @@ def _rabi_scan(J: float, detunings: np.ndarray, weights: np.ndarray,
     np.subtract(c.sum(axis=-1)[:, None, None], p, out=p)
     p *= 0.5
     return p.reshape(len(c), -1)[:, :steps]
-
-
-def p12_thermal(config: SystemConfig, t):
-    """Finite-temperature transition probability (q = 0 gives independent baths).
-
-    Degeneracy-weighted average of the Rabi formula over magnetization
-    sectors, with sectors of equal detuning merged; algebraically identical
-    to the double (j, m) sum because the summand depends on j only through
-    the multiplicity.  The time axis is evaluated in bounded blocks.
-    """
-    [(J, detunings, _, w)] = _detuning_groups([config])
-    t = np.asarray(t, dtype=float)
-    p = _rabi_average(J, detunings, w, t.ravel())[0].reshape(t.shape)
-    return float(p) if p.ndim == 0 else p
 
 
 def p12_thermal_jm(config: SystemConfig, t):
@@ -313,14 +286,29 @@ def _ground_branch(config: SystemConfig) -> GroundStateBranch:
 def p12(config: SystemConfig, t):
     """Transition probability in the regime the config is in.
 
-    At zero temperature this is the Rabi curve at the ground-state branch's
-    detuning (q = 0 gives both baths all-down); otherwise the thermal
-    average.
+    The Rabi curve averaged over the config's bath states (_sector_arrays),
+    with states of equal detuning merged: the thermal sectors at finite
+    temperature (q = 0 gives independent baths), the ground-state branch's
+    detuning at zero temperature (q = 0 gives both baths all-down).  Each
+    value depends on its own t alone.
     """
-    if not config.thermal.is_zero_temperature:
-        return p12_thermal(config, t)
-    delta = delta0_correlated(config, _ground_branch(config))
-    return rabi_probability(config.dimer.J, delta, t)
+    [(J, detunings, _, w)] = _detuning_groups([config])
+    t = np.asarray(t, dtype=float)
+    p = _rabi_average_paired(J, detunings, w, np.zeros(t.size, dtype=np.intp),
+                             t.ravel()).reshape(t.shape)
+    return float(p) if p.ndim == 0 else p
+
+
+def p12_thermal(config: SystemConfig, t):
+    """Finite-temperature transition probability (q = 0 gives independent baths).
+
+    Degeneracy-weighted average of the Rabi formula over magnetization
+    sectors; algebraically identical to the double (j, m) sum because the
+    summand depends on j only through the multiplicity.
+    """
+    if config.thermal.is_zero_temperature:
+        raise ValueError("p12_thermal requires a finite temperature")
+    return p12(config, t)
 
 
 def p12_zero_temp(config: SystemConfig, t):

@@ -21,8 +21,7 @@ import numpy as np
 
 from .config import ConfigValidationError, SystemConfig, ThermalSpec, validated
 from .dynamics import (_detuning_groups, _ground_branch, _rabi_average_paired,
-                       _rabi_scan, _rabi_slopes, delta0_correlated, p12,
-                       rabi_probability)
+                       _rabi_scan, _rabi_slopes, delta0_correlated, p12)
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _EPS = float(np.finfo(float).eps)
@@ -59,7 +58,7 @@ def _zero_temp_peak(config: SystemConfig, window: TimeWindow) -> tuple[float, fl
 
     A sin^2(omega t) peaks at A on t = (k + 1/2) pi/omega.  The first such
     time at or after t_min is t* if it is at most t_max; otherwise the curve
-    has no peak in the window and the better end is t*.
+    has no peak in the window and the better end is t*, with P* from p12.
     """
     d = delta0_correlated(config, _ground_branch(config))
     J = config.dimer.J
@@ -68,8 +67,7 @@ def _zero_temp_peak(config: SystemConfig, window: TimeWindow) -> tuple[float, fl
     t = max(window.t_min, (k + 0.5) * math.pi / omega)
     if t <= window.t_max:
         return t, J * J / (J * J + d * d)
-    p_min = rabi_probability(J, d, window.t_min)
-    p_max = rabi_probability(J, d, window.t_max)
+    p_min, p_max = p12(config, window.t_min), p12(config, window.t_max)
     return (window.t_min, p_min) if p_min >= p_max else (window.t_max, p_max)
 
 
@@ -343,7 +341,9 @@ def _check_axis_values(names, values):
     """Every error an axis value would raise in some cell, found before any work."""
     errors = []
     for name, v in zip(names, values):
-        if not np.isfinite(v).all():
+        if v.size == 0:
+            errors.append(f"{name} axis has no values")
+        elif not np.isfinite(v).all():
             errors.append("axis values must be finite")
         elif name == "temperature" and not (v > 0).all():
             errors.append("temperature axis values must be positive")
@@ -357,6 +357,7 @@ def sweep(config: SystemConfig, axes, window: TimeWindow | None = None) -> Sweep
     """Grid of max-over-time values (or raw P(t) when one axis is time).
 
     axes: list of 1 or 2 (name, values) pairs; names from SWEEP_PARAMETERS.
+    A time axis gives every cell of the other axis its p12 curve.
     Every axis value is validated before any cell is computed, so the
     cells are not validated again.  Cells are generated one at a time and
     go through the same _peaks as max_over_time: a cell's (t*, P*) is
@@ -382,28 +383,21 @@ def sweep(config: SystemConfig, axes, window: TimeWindow | None = None) -> Sweep
     grid = np.empty(shape)
     tgrid = np.empty(shape)
 
-    time_axis = names.index("t") if "t" in names else None
-    if time_axis is not None:
-        ts = values[time_axis]
-        other = 1 - time_axis if len(axes) == 2 else None
-        if other is None:
-            p = np.asarray(p12(config, ts))
-            grid[:], tgrid[:] = p, ts
-        else:
-            for i, v in enumerate(values[other]):
-                cfg = _apply_parameter(config, names[other], float(v))
-                p = np.asarray(p12(cfg, ts))
-                if other == 0:
-                    grid[i, :], tgrid[i, :] = p, ts
-                else:
-                    grid[:, i], tgrid[:, i] = p, ts
-    else:
-        def cell_config(idx):
-            cfg = config
-            for ax, i in enumerate(idx):
-                cfg = _apply_parameter(cfg, names[ax], float(values[ax][i]))
-            return cfg
+    # the axes a cell's config is made from: all but time
+    others = [ax for ax, name in enumerate(names) if name != "t"]
 
+    def cell_config(idx):
+        cfg = config
+        for ax, i in zip(others, idx):
+            cfg = _apply_parameter(cfg, names[ax], float(values[ax][i]))
+        return cfg
+
+    if "t" in names:
+        ts = values[names.index("t")]
+        curves, times = (np.moveaxis(a, names.index("t"), -1) for a in (grid, tgrid))
+        for idx in np.ndindex(curves.shape[:-1]):
+            curves[idx], times[idx] = p12(cell_config(idx), ts), ts
+    else:
         for i, (t_star, p_star) in _peaks(map(cell_config, np.ndindex(shape)), window):
             tgrid.flat[i], grid.flat[i] = t_star, p_star
 

@@ -179,6 +179,23 @@ def test_oracle_check_size_guard(config_file, capsys):
     assert "23" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_oracle_check_rejects_empty_time_grid(config_file, capsys, monkeypatch, points):
+    import dimerbath.cli as cli
+    calls = []
+    monkeypatch.setattr(cli, "evolve_probability", lambda *args: calls.append(args))
+    assert main(["oracle-check", "--config", config_file(), "--n1", "3",
+                 "--n2", "3", "--points", points]) == 2
+    assert "--points must be >= 1" in capsys.readouterr().err
+    assert calls == []
+
+
+def test_thermal_curve_rejects_zero_temperature(config_file, tmp_path, capsys):
+    assert main(["thermal", "--config", config_file(),
+                 "--out", str(tmp_path / "curve.csv")]) == 2
+    assert "finite temperature" in capsys.readouterr().err
+
+
 def test_unwritable_output(config_file):
     assert main(["zero-temp", "--config", config_file(),
                  "--out", "/nonexistent-dir/x.csv"]) == 2

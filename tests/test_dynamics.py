@@ -159,6 +159,10 @@ class TestThermal:
                     z += w
             assert p12_thermal(cfg, t) == pytest.approx(num / z, rel=1e-13)
 
+    def test_rejects_zero_temperature(self):
+        with pytest.raises(ValueError, match="finite temperature"):
+            p12_thermal(make_config(gamma2=2.0), 0.1)
+
     def test_matches_jm_double_sum(self, rng):
         for _ in range(5):
             cfg = random_config(rng)
@@ -339,6 +343,27 @@ class TestResonanceSolver:
         cfg = make_config(thermal=ThermalSpec.kelvin(300.0))
         with pytest.raises(ValueError):
             resonance_gamma(cfg, free="gamma2")
+
+
+@pytest.mark.parametrize("zero_temp", [False, True])
+def test_each_value_depends_on_its_own_time_alone(rng, zero_temp):
+    # one kernel, one pairwise sum per time: shifting the time array or
+    # asking for a single time gives the same bits
+    for size in (1, 2, 257, 3000, 70000):
+        for _ in range(3):
+            cfg = random_config(rng, zero_temp=zero_temp)
+            ts = rng.uniform(0.0, 5.0, size=size)
+            p = p12(cfg, ts)
+            assert p[1:].tobytes() == p12(cfg, ts[1:]).tobytes()
+            for k in rng.integers(0, size, size=200):
+                assert p12(cfg, float(ts[k])) == p[k]
+
+
+@pytest.mark.parametrize("thermal", [ThermalSpec.zero(), ThermalSpec.kelvin(77.0)])
+def test_underflowing_rabi_frequency_gives_zero(thermal):
+    # J^2 + D^2 == 0.0 in floating point while J != 0
+    cfg = make_config(eps1=0.0, eps2=0.0, J=1e-170, thermal=thermal)
+    assert np.array_equal(p12(cfg, np.linspace(0.0, 2.0, 5)), np.zeros(5))
 
 
 def test_fuzz_probability_bounds(rng):

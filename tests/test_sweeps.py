@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import dimerbath.sweeps as sweeps
-from dimerbath import (ThermalSpec, TimeWindow, assistance_gain,
-                       max_over_time, p12, p12_thermal, sweep)
+from dimerbath import (ConfigValidationError, ThermalSpec, TimeWindow,
+                       assistance_gain, max_over_time, p12, p12_thermal, sweep)
 from conftest import make_config
 
 
@@ -105,6 +105,22 @@ class TestSweep:
         grid = sweep(cfg, [("t", ts)])
         np.testing.assert_allclose(grid.values, p12_thermal(cfg, ts), atol=0)
 
+    @pytest.mark.parametrize("thermal", [ThermalSpec.zero(), ThermalSpec.kelvin(77.0)])
+    def test_two_axis_time_sweep_rows_equal_p12(self, thermal):
+        cfg = make_config(N1=4, gamma1=1.3, N2=5, gamma2=2.0, thermal=thermal)
+        ts = np.linspace(0.0, 1.3, 57)
+        qs = [0.0, 12.0, 120.0]   # both sides of q0 = 100
+        t_first = sweep(cfg, [("t", ts), ("q", qs)])
+        t_second = sweep(cfg, [("q", qs), ("t", ts)])
+        assert t_first.values.shape == (ts.size, len(qs))
+        assert t_second.values.shape == (len(qs), ts.size)
+        for j, q in enumerate(qs):
+            curve = p12(replace(cfg, correlation=replace(cfg.correlation, q=q)), ts)
+            assert (t_first.values[:, j].tobytes() == curve.tobytes()
+                    == t_second.values[j].tobytes())
+            assert (t_first.t_star[:, j].tobytes() == ts.tobytes()
+                    == t_second.t_star[j].tobytes())
+
     def test_gamma_both_ties_couplings(self):
         cfg = make_config(N1=4, N2=4, thermal=ThermalSpec.kelvin(77.0))
         grid = sweep(cfg, [("gamma_both", [1.5])], TimeWindow(coarse_steps=800))
@@ -180,17 +196,15 @@ class TestBatchedEngine:
         t_star, p_star = max_over_time(cfg)
         dense = p12_thermal(cfg, np.linspace(0, 2, 100 * 1999 + 1))
         assert p_star >= dense.max() - 1e-12
-        assert p_star == pytest.approx(p12_thermal(cfg, t_star), abs=1e-15)
+        assert p_star == p12_thermal(cfg, t_star)
 
     def test_axis_values_validated_before_any_kernel_call(self, monkeypatch):
-        import dimerbath.dynamics as dynamics
         calls = []
-        kernel = dynamics._rabi_kernel_blocks
-
-        def spy(*args):
-            calls.append(args)
-            return kernel(*args)
-        monkeypatch.setattr(dynamics, "_rabi_kernel_blocks", spy)
+        for name in ("_rabi_scan", "_rabi_average_paired"):
+            def spy(*args, kernel=getattr(sweeps, name)):
+                calls.append(args)
+                return kernel(*args)
+            monkeypatch.setattr(sweeps, name, spy)
         cfg = make_config(gamma2=1.0, thermal=ThermalSpec.kelvin(77.0))
         with pytest.raises(ValueError, match="temperature"):
             sweep(cfg, [("temperature", [77.0, 300.0, -1.0])])
@@ -198,6 +212,10 @@ class TestBatchedEngine:
             sweep(cfg, [("gamma2", [1.0, 2.0]), ("J", [10.0, 0.0])])
         with pytest.raises(ValueError, match="finite"):
             sweep(cfg, [("q", [0.0, np.nan])])
+        for axes in ([("gamma2", [])], [("gamma2", [1.0, 2.0]), ("q", [])],
+                     [("t", []), ("q", [1.0])]):
+            with pytest.raises(ConfigValidationError, match="no values"):
+                sweep(cfg, axes)
         assert calls == []
         sweep(cfg, [("temperature", [77.0])], TimeWindow(coarse_steps=800))
         assert calls
@@ -247,7 +265,7 @@ class TestNewtonEngine:
     @pytest.mark.parametrize("steps", [2, 3, 800, 2000, 4001])
     @pytest.mark.parametrize("sizes", [(1, 20), (22, 20), (200, 7), (200, 200)])
     def test_scan_matches_direct_kernel(self, steps, sizes):
-        from dimerbath.dynamics import _rabi_average, _rabi_scan
+        from dimerbath.dynamics import _rabi_scan
         from dimerbath.sweeps import _scan_tolerance
         rng = np.random.default_rng(steps)
         # the direct kernel on up to 400 of the samples, ends included
@@ -264,7 +282,7 @@ class TestNewtonEngine:
             dt = (window.t_max - window.t_min) / (steps - 1)
             scan = _rabi_scan(J, detunings, weights, window.t_min, dt, steps)
             assert scan.shape == (1, steps)
-            err = np.abs(scan[:, idx] - _rabi_average(J, detunings, weights, ts[idx])).max()
+            err = np.abs(scan[:, idx] - p12_thermal(cfg, ts[idx])).max()
             assert err <= 1e-14
             assert err <= _scan_tolerance(J, window)
 
@@ -294,7 +312,7 @@ class TestNewtonEngine:
                 cfg = replace(cfg, thermal=temperatures[i % 3])
             t_star, p_star = max_over_time(cfg, window)
             assert p_star >= p12_thermal(cfg, dense_ts).max() - 1e-12
-            assert abs(p_star - p12_thermal(cfg, t_star)) <= 1e-15
+            assert p_star == p12_thermal(cfg, t_star)
 
     def test_headline_peaks_equal_p12_thermal_at_t_star(self):
         cfg = make_config(N1=22, N2=20)
@@ -306,8 +324,7 @@ class TestNewtonEngine:
                 g, q = grid.axis1_values[idx[0]], grid.axis2_values[idx[1]]
                 cell = make_config(N1=22, gamma1=g, N2=20, gamma2=g, q=q,
                                    thermal=thermal)
-                assert abs(grid.values[idx]
-                           - p12_thermal(cell, grid.t_star[idx])) <= 1e-15
+                assert grid.values[idx] == p12_thermal(cell, grid.t_star[idx])
 
     def test_no_refinement_returns_direct_kernel_at_a_coarse_sample(self, monkeypatch):
         from dimerbath.dynamics import _rabi_average_paired
