@@ -34,11 +34,20 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+# rows formatted per write of emit_curve_csv; bounds its string buffers
+_CSV_CHUNK = 512
+
+
 def emit_curve_csv(path: str, ts, ps):
+    """t_ps,p12 rows, each value as _fmt gives it, one chunk of rows per write."""
+    ts, ps = np.atleast_1d(ts), np.atleast_1d(ps)
+    n = min(ts.size, ps.size)
     with open(path, "w") as fh:
         fh.write("t_ps,p12\n")
-        for t, p in zip(np.atleast_1d(ts), np.atleast_1d(ps)):
-            fh.write(f"{_fmt(t)},{_fmt(p)}\n")
+        for lo in range(0, n, _CSV_CHUNK):
+            hi = min(n, lo + _CSV_CHUNK)
+            chunk = np.column_stack((ts[lo:hi], ps[lo:hi]))
+            fh.write(("%.17g,%.17g\n" * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
 def emit_grid_csv(path: str, grid):

@@ -62,10 +62,11 @@ def multiplicity_table(N: int) -> MultiplicityTable:
     return MultiplicityTable(N=N, nu=nu, g=g)
 
 
-def _logsumexp(x: np.ndarray) -> float:
+def _logsumexp(x) -> np.ndarray:
+    """log sum exp over the last axis, each row shifted by its own max."""
     x = np.asarray(x, dtype=float)
-    xmax = x.max()
-    return float(xmax + np.log(np.exp(x - xmax).sum()))
+    xmax = x.max(axis=-1, keepdims=True)
+    return (xmax + np.log(np.exp(x - xmax).sum(axis=-1, keepdims=True)))[..., 0]
 
 
 def _log_sinh(x: float) -> float:
@@ -89,7 +90,7 @@ def log_partition_function(N: int, alpha: float, beta: float) -> float:
         return N * math.log(2.0)
 
     g = magnetization_counts(N)
-    log_direct = _logsumexp([math.log(gm) - b * m for m, gm in g.items()])
+    log_direct = float(_logsumexp([math.log(gm) - b * m for m, gm in g.items()]))
 
     ab = abs(b)
     terms = []
@@ -100,7 +101,7 @@ def log_partition_function(N: int, alpha: float, beta: float) -> float:
             terms.append(math.log(nu)
                          + _log_sinh(ab * (two_j + 1) / 2.0) - _log_sinh(ab / 2.0))
         two_j -= 2
-    log_sinh_form = _logsumexp(terms)
+    log_sinh_form = float(_logsumexp(terms))
 
     if abs(log_sinh_form - log_direct) > 1e-10 * max(1.0, abs(log_direct)):
         raise RuntimeError(
@@ -137,22 +138,39 @@ def _log_counts(N: int) -> tuple[np.ndarray, np.ndarray]:
     return m, lg
 
 
+def _log_weight_rows(N1: int, alpha1: float, N2: int, alpha2: float,
+                     beta: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Max-shifted log-weights over the flat (m1, m2) grid, one row per (beta, q).
+
+    Row r is log g1(m1) g2(m2) - beta_r (a1 m1 + a2 m2 + q_r m1 m2), shifted
+    to a max of 0, for m1 and m2 of _log_counts (m1 the slower index).  All
+    rows come from one broadcast; each row's max and log-sum-exp reduce its
+    own contiguous row, so a row has the same bits alone or in any stack.
+    Returns (log_weights, log_z_shifted), of shapes (rows, sectors) and (rows,).
+    """
+    m1, lg1 = _log_counts(N1)
+    m2, lg2 = _log_counts(N2)
+    M1, M2 = m1[:, None], m2[None, :]
+    beta = np.asarray(beta, dtype=float)[:, None, None]
+    q = np.asarray(q, dtype=float)[:, None, None]
+    lw = (lg1[:, None] + lg2[None, :]
+          - beta * (alpha1 * M1 + alpha2 * M2 + q * M1 * M2)).reshape(len(beta), -1)
+    lw -= lw.max(axis=1, keepdims=True)
+    return lw, _logsumexp(lw)
+
+
 def thermal_weights(config: SystemConfig) -> ThermalWeights:
     """Degeneracy-weighted canonical weights of the (possibly Ising-coupled) baths.
 
-    weight(m1, m2) ~ g1(m1) g2(m2) exp(-beta (a1 m1 + a2 m2 + q m1 m2)).
-    m1 and m2 are shared read-only arrays.
+    weight(m1, m2) ~ g1(m1) g2(m2) exp(-beta (a1 m1 + a2 m2 + q m1 m2)):
+    the one-row case of _log_weight_rows.  m1 and m2 are shared read-only
+    arrays.
     """
     beta = config.thermal.beta
     b1, b2 = config.bath1, config.bath2
-    q = config.correlation.q
-
-    m1, lg1 = _log_counts(b1.N)
-    m2, lg2 = _log_counts(b2.N)
-    M1, M2 = m1[:, None], m2[None, :]
-    lw = (lg1[:, None] + lg2[None, :]
-          - beta * (b1.alpha * M1 + b2.alpha * M2 + q * M1 * M2))
-    lw = lw - lw.max()
-    log_z = _logsumexp(lw.ravel())
-    return ThermalWeights(beta=beta, m1=m1, m2=m2, log_weights=lw,
-                          log_z_shifted=log_z)
+    lw, log_z = _log_weight_rows(b1.N, b1.alpha, b2.N, b2.alpha,
+                                 [beta], [config.correlation.q])
+    m1, m2 = _log_counts(b1.N)[0], _log_counts(b2.N)[0]
+    return ThermalWeights(beta=beta, m1=m1, m2=m2,
+                          log_weights=lw.reshape(m1.size, m2.size),
+                          log_z_shifted=float(log_z[0]))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combinatorics import multiplicity, thermal_weights
+from .combinatorics import _log_counts, _log_weight_rows, multiplicity, thermal_weights
 from .config import SystemConfig
 
 
@@ -53,6 +53,12 @@ def rabi_probability(J: float, delta, t):
     return float(p) if p.ndim == 0 else p
 
 
+def _detunings(gap: float, gamma1: float, gamma2: float,
+               m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
+    """Flat sector detunings gap + (gamma2 m2 - gamma1 m1)/2, m1 the slower index."""
+    return (gap + (gamma2 * m2[None, :] - gamma1 * m1[:, None]) / 2.0).ravel()
+
+
 def _sector_arrays(config: SystemConfig):
     """Flat (weights, detunings) of the bath states the config averages over.
 
@@ -62,38 +68,87 @@ def _sector_arrays(config: SystemConfig):
     if config.thermal.is_zero_temperature:
         return np.ones(1), np.array([delta0_correlated(config, _ground_branch(config))])
     tw = thermal_weights(config)
-    delta = config.gap + (config.bath2.gamma * tw.m2[None, :]
-                          - config.bath1.gamma * tw.m1[:, None]) / 2.0
-    return tw.normalized().ravel(), delta.ravel()
+    return (tw.normalized().ravel(),
+            _detunings(config.gap, config.bath1.gamma, config.bath2.gamma, tw.m1, tw.m2))
 
 
-def _detuning_groups(configs):
-    """Configs grouped by detuning set, sectors merged.
-
-    P(t) depends on a sector only through its detuning, so the weights of
-    sectors that share one are summed.  Configs with the same J and the
-    same sector detunings (they differ only in beta or q) form one group.
-    Returns a list of (J, detunings, cells, weights): the sorted distinct
-    detunings, the indices of the group's configs, and one row of merged
-    weights per config.
-    """
-    groups = {}
-    for i, cfg in enumerate(configs):
-        w, delta = _sector_arrays(cfg)
-        key = (cfg.dimer.J, delta.tobytes())
-        if key not in groups:
-            detunings, inverse = np.unique(delta, return_inverse=True)
-            groups[key] = (cfg.dimer.J, detunings, inverse, [], [])
-        _, detunings, inverse, cells, rows = groups[key]
-        cells.append(i)
-        rows.append(np.bincount(inverse, weights=w, minlength=detunings.size))
-    return [(J, detunings, cells, np.array(rows))
-            for J, detunings, _, cells, rows in groups.values()]
-
-
-# elements of one (times x detunings) block of the Rabi kernel; bounds the
-# memory of a call whatever the number of times or detunings
+# elements of one (times x detunings) block of the Rabi kernel, and of one
+# block of weight rows; bounds the memory of a call whatever the number of
+# times, detunings or cells
 _KERNEL_BLOCK = 1 << 16
+
+
+def _distinct(*columns) -> tuple[np.ndarray, np.ndarray]:
+    """(first cell, index) of every distinct tuple of per-cell floats.
+
+    Tuples are keyed by their float bits, so -0.0 and 0.0 stay apart and
+    every cell of a key has exactly its first cell's values.
+    """
+    keys = np.column_stack(columns).view(np.uint64)
+    _, first, of = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    return first, of.ravel()
+
+
+def _detuning_groups(config: SystemConfig, **cells):
+    """The config's cells grouped by detuning set, sectors merged.
+
+    cells maps any of J, gamma1, gamma2, beta and q to an array of per-cell
+    values, all of one length, every cell at finite temperature; the
+    others take the config's own value.  With none given the config is
+    the one cell, in either regime (_sector_arrays).  P(t) depends on a
+    sector only through its detuning, so the weights of sectors that share
+    one are summed.  The weights depend on (beta, q) alone and the
+    detunings on (gamma1, gamma2) alone, so each distinct (beta, q) row
+    (_log_weight_rows) and each distinct (J, gamma1, gamma2) detuning set
+    is built once, and a group is the cells of one (J, gamma1, gamma2).
+    Returns a list of (J, detunings, cells, weights): the sorted distinct
+    detunings, the indices of the group's cells, and one row of merged
+    weights per cell.  A cell's detunings and weights have the bits its
+    own config gives.
+    """
+    if not cells:
+        w, delta = _sector_arrays(config)
+        detunings, inverse = np.unique(delta, return_inverse=True)
+        merged = np.bincount(inverse, weights=w, minlength=detunings.size)
+        return [(config.dimer.J, detunings, [0], merged[None, :])]
+    b1, b2 = config.bath1, config.bath2
+    n = max(np.size(v) for v in cells.values())
+    values = {"J": config.dimer.J, "gamma1": b1.gamma, "gamma2": b2.gamma,
+              "q": config.correlation.q}
+    if "beta" not in cells:
+        values["beta"] = config.thermal.beta
+    values.update(cells)
+    J, gamma1, gamma2, beta, q = (np.full(n, values[name], dtype=float)
+                                  for name in ("J", "gamma1", "gamma2", "beta", "q"))
+    m1, m2 = _log_counts(b1.N)[0], _log_counts(b2.N)[0]
+    rows, row_of = _distinct(beta, q)
+    sets, set_of = _distinct(J, gamma1, gamma2)
+    groups = []
+    for s, first in enumerate(sets):
+        members = np.flatnonzero(set_of == s)
+        detunings, inverse = np.unique(
+            _detunings(config.gap, gamma1[first], gamma2[first], m1, m2),
+            return_inverse=True)
+        # the group's W rows, ascending, and each member's among them
+        used, slot = np.unique(row_of[members], return_inverse=True)
+        groups.append((first, members, slot.ravel(), detunings, inverse, used,
+                       np.empty((used.size, detunings.size))))
+    # W rows in blocks of at most _KERNEL_BLOCK elements, each merged into
+    # every group that uses it: row i of a block adds its sectors to bins
+    # i K + inverse, in sector order, as a bincount of the row alone would
+    step = max(1, _KERNEL_BLOCK // (m1.size * m2.size))
+    for lo in range(0, len(rows), step):
+        block = rows[lo:lo + step]
+        lw, log_z = _log_weight_rows(b1.N, b1.alpha, b2.N, b2.alpha, beta[block], q[block])
+        w = np.exp(lw - log_z[:, None])
+        for _, _, _, detunings, inverse, used, merged in groups:
+            a, b = np.searchsorted(used, (lo, lo + step))
+            k = detunings.size
+            bins = (np.arange(b - a)[:, None] * k + inverse).ravel()
+            merged[a:b] = np.bincount(bins, weights=w[used[a:b] - lo].ravel(),
+                                      minlength=(b - a) * k).reshape(b - a, k)
+    return [(float(J[first]), detunings, members.tolist(), merged[slot])
+            for first, members, slot, detunings, _, _, merged in groups]
 
 
 def _rabi_average_paired(J: float, detunings: np.ndarray, weights: np.ndarray,
@@ -166,7 +221,7 @@ def _rabi_scan(J: float, detunings: np.ndarray, weights: np.ndarray,
     n_coarse = -(-steps // n_fine)
     centres = t0 + dt * (half + n_fine * np.arange(n_coarse))
     offsets = dt * np.arange(half + 1)
-    c = weights * ((J * J) / omega2)
+    c = weights * np.divide(J * J, omega2, out=np.zeros_like(omega2), where=omega2 > 0)
     # [row, cos | sin, centre, offset]
     acc = np.empty((len(c), 2, n_coarse, half + 1))
     width = max(1, _KERNEL_BLOCK // (n_coarse + half + 1))
@@ -292,7 +347,7 @@ def p12(config: SystemConfig, t):
     detuning at zero temperature (q = 0 gives both baths all-down).  Each
     value depends on its own t alone.
     """
-    [(J, detunings, _, w)] = _detuning_groups([config])
+    [(J, detunings, _, w)] = _detuning_groups(config)
     t = np.asarray(t, dtype=float)
     p = _rabi_average_paired(J, detunings, w, np.zeros(t.size, dtype=np.intp),
                              t.ravel()).reshape(t.shape)

@@ -7,13 +7,15 @@ Newton steps on the closed-form P' and P'', with golden section for a
 peak that has no sign change of P' next to it.  The scan only picks
 candidates; every reported P* is the direct kernel at its t*.  P
 factorises as K(t, D) @ W(D; beta, q) over the distinct detunings D, so a
-grid's cells are batched by detuning set: one scan per set, one weight row
-per cell.  Zero-temperature configurations use the closed-form peak
-instead; _peaks is the one place that tells the two regimes apart.
+grid's cells are batched by detuning set, one scan per set, and each
+distinct (beta, q) weight row is built once.  Zero-temperature cells use
+the closed-form peak instead; _peaks is the one place in this module that
+tells the two regimes apart (dynamics._sector_arrays does for one curve).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -59,9 +61,13 @@ def _zero_temp_peak(config: SystemConfig, window: TimeWindow) -> tuple[float, fl
     A sin^2(omega t) peaks at A on t = (k + 1/2) pi/omega.  The first such
     time at or after t_min is t* if it is at most t_max; otherwise the curve
     has no peak in the window and the better end is t*, with P* from p12.
+    Where J^2 underflows to 0, A is 0, so P is 0 throughout and t* is
+    t_min, as at finite temperature (_group_peaks).
     """
-    d = delta0_correlated(config, _ground_branch(config))
     J = config.dimer.J
+    if J * J == 0.0:
+        return window.t_min, 0.0
+    d = delta0_correlated(config, _ground_branch(config))
     omega = math.sqrt(J * J + d * d)
     k = math.ceil(window.t_min * omega / math.pi - 0.5)
     t = max(window.t_min, (k + 0.5) * math.pi / omega)
@@ -217,7 +223,11 @@ def _group_peaks(J: float, detunings: np.ndarray, weights: np.ndarray,
     golden section otherwise (a peak at the window's edge, say).  A row's
     P* is the direct kernel (_rabi_average_paired) at its best refined
     point, or at its best coarse sample when no refined point is higher.
+    Where J^2 underflows to 0, every amplitude J^2/omega^2 is 0, so P is 0
+    throughout and every row's t* is t_min, the best sample of a flat scan.
     """
+    if J * J == 0.0:
+        return [(window.t_min, 0.0)] * len(weights)
     omega = np.sqrt(J * J + detunings * detunings)
     omega_max = float(omega.max())
     # the coarse grid has to resolve the fastest sector oscillation
@@ -281,23 +291,54 @@ def _refine(J, detunings, weights, rows, t, dt, window) -> np.ndarray:
     return out
 
 
-def _peaks(configs, window: TimeWindow):
-    """Yield (i, (t*, P*)) over the window for the i-th config of an iterable.
+# the cell fields each sweep parameter sets: a cell's J, gamma1, gamma2,
+# q and temperature, as _apply_parameter puts them on a config
+_FIELDS = {"gamma1": ("gamma1",), "gamma2": ("gamma2",),
+           "gamma_both": ("gamma1", "gamma2"), "q": ("q",),
+           "temperature": ("temperature",), "J": ("J",)}
 
-    Zero-temperature configs take the closed-form peak as they arrive, so
-    a stream of them is never held at once.  Finite-temperature configs
-    follow at the end, grouped by detuning set, one kernel per set.  A
-    config's result does not depend on which other configs come with it.
+
+def _cell_parameters(names, values) -> dict:
+    """Per-cell value of every field the axes set, flat in C order.
+
+    A later axis overrides an earlier one that sets the same field.
     """
-    finite = []
-    for i, config in enumerate(configs):
-        if config.thermal.is_zero_temperature:
-            yield i, _zero_temp_peak(config, window)
-        else:
-            finite.append((i, config))
-    for J, detunings, cells, weights in _detuning_groups(c for _, c in finite):
-        for k, peak in zip(cells, _group_peaks(J, detunings, weights, window)):
-            yield finite[k][0], peak
+    cells = {}
+    for name, grid in zip(names, np.meshgrid(*values, indexing="ij")):
+        for field in _FIELDS[name]:
+            cells[field] = grid.ravel()
+    return cells
+
+
+def _cell_configs(config: SystemConfig, names, values):
+    """The config of every cell of the grid the axes span, in C order, one at a time."""
+    fields = [_FIELDS[name] for name in names]
+    for cell in itertools.product(*(v.tolist() for v in values)):
+        yield _apply_parameter(config, **{f: x for fs, x in zip(fields, cell) for f in fs})
+
+
+def _peaks(config: SystemConfig, names, values, window: TimeWindow):
+    """Yield (i, (t*, P*)) over the window for the i-th cell (C order) of the grid.
+
+    The grid spans the named axes around config; no axes make config the
+    one cell.  Zero-temperature cells take the closed-form peak, one config
+    at a time, so their configs are never held at once.  Finite-temperature
+    cells build no config: _detuning_groups groups them by detuning set,
+    one kernel per set, with beta from ThermalSpec.kelvin as a cell's
+    config gets it.  A cell's result does not depend on which other cells
+    come with it.
+    """
+    if "temperature" not in names and config.thermal.is_zero_temperature:
+        for i, cfg in enumerate(_cell_configs(config, names, values)):
+            yield i, _zero_temp_peak(cfg, window)
+        return
+    cells = _cell_parameters(names, values)
+    if "temperature" in cells:
+        kelvin, inverse = np.unique(cells.pop("temperature"), return_inverse=True)
+        cells["beta"] = np.array([ThermalSpec.kelvin(T).beta
+                                  for T in kelvin.tolist()])[inverse.ravel()]
+    for J, detunings, members, weights in _detuning_groups(config, **cells):
+        yield from zip(members, _group_peaks(J, detunings, weights, window))
 
 
 def max_over_time(config: SystemConfig,
@@ -314,27 +355,26 @@ def max_over_time(config: SystemConfig,
     of a sweep, with the same bits.
     """
     validated(config)
-    [(_, peak)] = _peaks([config], TimeWindow() if window is None else window)
+    [(_, peak)] = _peaks(config, [], [], TimeWindow() if window is None else window)
     return peak
 
 
-def _apply_parameter(config: SystemConfig, name: str, value: float) -> SystemConfig:
-    if name == "gamma1":
-        return replace(config, bath1=replace(config.bath1, gamma=value))
-    if name == "gamma2":
-        return replace(config, bath2=replace(config.bath2, gamma=value))
-    if name == "gamma_both":
-        return replace(config,
-                       bath1=replace(config.bath1, gamma=value),
-                       bath2=replace(config.bath2, gamma=value))
-    if name == "q":
-        return replace(config, correlation=replace(config.correlation, q=value))
-    if name == "temperature":
-        return replace(config, thermal=ThermalSpec.kelvin(value))
-    if name == "J":
-        return replace(config, dimer=replace(config.dimer, J=value))
-    raise ValueError(f"unknown sweep parameter {name!r}; "
-                     f"choose from {SWEEP_PARAMETERS}")
+def _apply_parameter(config: SystemConfig, **fields) -> SystemConfig:
+    """config with each given cell field of _FIELDS set to its value."""
+    if not fields:
+        return config
+    parts = {}
+    if "J" in fields:
+        parts["dimer"] = replace(config.dimer, J=fields["J"])
+    if "gamma1" in fields:
+        parts["bath1"] = replace(config.bath1, gamma=fields["gamma1"])
+    if "gamma2" in fields:
+        parts["bath2"] = replace(config.bath2, gamma=fields["gamma2"])
+    if "q" in fields:
+        parts["correlation"] = replace(config.correlation, q=fields["q"])
+    if "temperature" in fields:
+        parts["thermal"] = ThermalSpec.kelvin(fields["temperature"])
+    return replace(config, **parts)
 
 
 def _check_axis_values(names, values):
@@ -359,10 +399,10 @@ def sweep(config: SystemConfig, axes, window: TimeWindow | None = None) -> Sweep
     axes: list of 1 or 2 (name, values) pairs; names from SWEEP_PARAMETERS.
     A time axis gives every cell of the other axis its p12 curve.
     Every axis value is validated before any cell is computed, so the
-    cells are not validated again.  Cells are generated one at a time and
-    go through the same _peaks as max_over_time: a cell's (t*, P*) is
-    bit-identical to max_over_time of its config, whatever the grid
-    around it.
+    cells are not validated again.  Cells go through the same _peaks as
+    max_over_time: a cell's (t*, P*) is bit-identical to max_over_time of
+    its config, whatever the grid around it.  On a time axis each cell's
+    config, built one at a time, gets its curve from p12.
     """
     validated(config)
     if window is None:
@@ -383,22 +423,16 @@ def sweep(config: SystemConfig, axes, window: TimeWindow | None = None) -> Sweep
     grid = np.empty(shape)
     tgrid = np.empty(shape)
 
-    # the axes a cell's config is made from: all but time
-    others = [ax for ax, name in enumerate(names) if name != "t"]
-
-    def cell_config(idx):
-        cfg = config
-        for ax, i in zip(others, idx):
-            cfg = _apply_parameter(cfg, names[ax], float(values[ax][i]))
-        return cfg
-
     if "t" in names:
-        ts = values[names.index("t")]
-        curves, times = (np.moveaxis(a, names.index("t"), -1) for a in (grid, tgrid))
-        for idx in np.ndindex(curves.shape[:-1]):
-            curves[idx], times[idx] = p12(cell_config(idx), ts), ts
+        ax = names.index("t")
+        ts = values[ax]
+        curves, times = (np.moveaxis(a, ax, -1) for a in (grid, tgrid))
+        cells = _cell_configs(config, names[:ax] + names[ax + 1:],
+                              values[:ax] + values[ax + 1:])
+        for idx, cfg in zip(np.ndindex(curves.shape[:-1]), cells):
+            curves[idx], times[idx] = p12(cfg, ts), ts
     else:
-        for i, (t_star, p_star) in _peaks(map(cell_config, np.ndindex(shape)), window):
+        for i, (t_star, p_star) in _peaks(config, names, values, window):
             tgrid.flat[i], grid.flat[i] = t_star, p_star
 
     best = np.unravel_index(int(grid.argmax()), shape)

@@ -143,6 +143,43 @@ def test_max_command(config_file, capsys):
     assert "p_star = 1" in out
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("thermal", [{"zero_temperature": True},
+                                     {"zero_temperature": None, "temperature_kelvin": 77.0}])
+def test_max_command_with_underflowing_rabi_frequency(config_file, capsys, thermal):
+    # J^2 + D^2 == 0.0 in floating point: P is 0 throughout, t* is t_min
+    path = config_file(epsilon2=0.0, J=1e-170, N1=4, N2=4, **thermal)
+    assert main(["max", "--config", path, "--t-min", "0.25"]) == 0
+    assert capsys.readouterr().out == "t_star = 0.25 ps\np_star = 0\n"
+
+
+def _per_line_csv(path, ts, ps):
+    """The curve CSV written one formatted row at a time."""
+    with open(path, "w") as fh:
+        fh.write("t_ps,p12\n")
+        for t, p in zip(np.atleast_1d(ts), np.atleast_1d(ps)):
+            fh.write(f"{format(float(t), '.17g')},{format(float(p), '.17g')}\n")
+
+
+def test_curve_csv_bytes_equal_the_per_line_writer(tmp_path):
+    from dimerbath.cli import _CSV_CHUNK, emit_curve_csv
+    rng = np.random.default_rng(5)
+    special = np.array([-0.0, 5e-324, 1e308, 2.0, 0.1, 0.0, -1e-300, np.pi])
+    n = 2 * _CSV_CHUNK + 3
+    cases = [
+        (special, special[::-1]),
+        (np.linspace(0.0, 2.0, n), rng.random(n)),
+        (rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n), rng.random(n)),
+        (np.arange(_CSV_CHUNK + 5.0), rng.random(_CSV_CHUNK + 2)),   # zip stops at the shorter
+        (np.float64(0.5), np.float64(-0.0)),
+        (np.empty(0), np.empty(0)),
+    ]
+    for ts, ps in cases:
+        emit_curve_csv(str(tmp_path / "new.csv"), ts, ps)
+        _per_line_csv(str(tmp_path / "old.csv"), ts, ps)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
 def test_resonance_command(config_file, capsys):
     assert main(["resonance", "--config", config_file(), "--free",
                  "gamma2"]) == 0

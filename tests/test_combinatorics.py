@@ -6,6 +6,7 @@ import pytest
 from dimerbath import (ThermalSpec, log_partition_function,
                        magnetization_counts, multiplicity, multiplicity_table,
                        thermal_weights)
+from dimerbath.combinatorics import _log_weight_rows
 from conftest import make_config
 
 
@@ -210,3 +211,27 @@ def test_cached_magnetizations_are_read_only():
         tw.m1[0] = 0.0
     with pytest.raises(ValueError):
         tw.m2[0] = 0.0
+
+
+def test_weight_rows_equal_thermal_weights_bit_for_bit(rng):
+    # a broadcast (beta, q) stack gives every row the bits of its own
+    # config's normalized weights, and of the pre-cache reference
+    for _ in range(40):
+        N1, N2 = (int(n) for n in rng.integers(1, 41, 2))
+        a1, a2 = (float(a) for a in rng.uniform(-300.0, 300.0, 2))
+        betas = rng.uniform(1e-4, 0.2, 9)
+        qs = rng.uniform(-20.0, 40.0, 9)
+        qs[:2] = 0.0, -0.0
+        lw, log_z = _log_weight_rows(N1, a1, N2, a2, betas, qs)
+        rows = np.exp(lw - log_z[:, None])
+        assert lw.shape == rows.shape == (9, (N1 + 1) * (N2 + 1))
+        for r in range(9):
+            cfg = make_config(N1=N1, alpha1=a1, N2=N2, alpha2=a2, q=float(qs[r]),
+                              thermal=ThermalSpec.from_beta(float(betas[r])))
+            assert rows[r].tobytes() == thermal_weights(cfg).normalized().ravel().tobytes()
+            assert lw[r].tobytes() == _thermal_weights_reference(cfg)[2].ravel().tobytes()
+        # a row alone, or in a shuffled stack, keeps its bits
+        order = rng.permutation(9)
+        lw2, log_z2 = _log_weight_rows(N1, a1, N2, a2, betas[order], qs[order])
+        assert lw2.tobytes() == lw[order].tobytes()
+        assert log_z2.tobytes() == log_z[order].tobytes()

@@ -69,6 +69,29 @@ class TestMaxOverTime:
         with pytest.raises(ValueError, match="resolve"):
             max_over_time(cfg, TimeWindow(coarse_steps=10))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("thermal", [ThermalSpec.zero(), ThermalSpec.kelvin(77.0)])
+    @pytest.mark.parametrize("gamma", [0.0, 1.0])
+    @pytest.mark.parametrize("window", [TimeWindow(), TimeWindow(t_min=0.3, t_max=1.1)])
+    @pytest.mark.parametrize("eps2", [5.0, 0.0])
+    def test_underflowing_rabi_frequency_peaks_at_t_min(self, thermal, gamma, window, eps2):
+        # J^2 == 0.0 in floating point while J != 0, so every amplitude
+        # J^2/(J^2 + D^2) is 0.  With eps1 = eps2 and gamma = 0 every
+        # sector's J^2 + D^2 is 0 too, with gamma = 1 the m1 = m2 sectors'
+        # are; with eps1 != eps2 the zero-temperature detuning is not 0
+        cfg = make_config(eps1=5.0, eps2=eps2, J=1e-170, N1=4, gamma1=gamma,
+                          N2=4, gamma2=gamma, thermal=thermal)
+        assert max_over_time(cfg, window) == (window.t_min, 0.0)
+        assert np.array_equal(p12(cfg, np.linspace(0.0, 2.0, 7)), np.zeros(7))
+        grid = sweep(cfg, [("q", [0.0, 30.0])], window)
+        assert np.array_equal(grid.values, np.zeros(2))
+        assert np.array_equal(grid.t_star, np.full(2, window.t_min))
+        if not thermal.is_zero_temperature:
+            from dimerbath.dynamics import _rabi_scan
+            J, detunings, weights = _group(cfg)
+            scan = _rabi_scan(J, detunings, weights, window.t_min, 1e-3, 50)
+            assert np.array_equal(scan, np.zeros((1, 50)))
+
     def test_window_validation(self):
         with pytest.raises(ValueError):
             TimeWindow(t_min=1.0, t_max=0.5)
@@ -168,25 +191,104 @@ class TestBatchedEngine:
         # Zero-T cells take the closed form, or the thermal path under a
         # temperature axis.
         zero, hot = ThermalSpec.zero(), ThermalSpec.kelvin(300.0)
+        beta = ThermalSpec.from_beta(0.004)
         gammas, qs = [0.0, 1.3, 2.9], [0.0, 17.0, 30.0, 40.0]
-        # (base temperature, first axis, the config of a cell)
+        # (base temperature, axes)
         cases = [
-            (hot, ("gamma_both", gammas), lambda g, q: make_config(
-                N1=22, gamma1=g, N2=20, gamma2=g, q=q, thermal=hot)),
-            (zero, ("gamma_both", gammas), lambda g, q: make_config(
-                N1=22, gamma1=g, N2=20, gamma2=g, q=q, thermal=zero)),
-            (zero, ("temperature", [77.0, 300.0]), lambda T, q: make_config(
-                N1=22, gamma1=1.3, N2=20, gamma2=1.3, q=q, thermal=ThermalSpec.kelvin(T))),
+            (hot, [("gamma_both", gammas), ("q", qs)]),
+            (zero, [("gamma_both", gammas), ("q", qs)]),
+            (zero, [("temperature", [77.0, 300.0]), ("q", qs)]),
+            (hot, [("q", qs), ("temperature", [77.0, 300.0])]),
+            (beta, [("gamma1", [0.0, -0.0, 1.3]), ("gamma2", [2.9, 0.0])]),
+            (hot, [("J", [3.0, -10.0]), ("q", [0.0, 30.0])]),
+            (beta, [("q", qs)]),
+            (hot, [("temperature", [77.0, 300.0])]),
+            (zero, [("gamma_both", gammas)]),
         ]
         for refine in (sweeps._REFINE_ITERATIONS, 0):
             monkeypatch.setattr(sweeps, "_REFINE_ITERATIONS", refine)
-            for thermal, (name, values), cell in cases:
+            for thermal, axes in cases:
                 base = make_config(N1=22, gamma1=1.3, N2=20, gamma2=1.3, thermal=thermal)
-                grid = sweep(base, [(name, values), ("q", qs)], window)
-                for i, v in enumerate(values):
-                    for j, q in enumerate(qs):
-                        assert ((grid.t_star[i, j], grid.values[i, j])
-                                == max_over_time(cell(v, q), window))
+                grid = sweep(base, axes, window)
+                for idx in np.ndindex(grid.values.shape):
+                    cell = _cell_config(base, [(name, float(values[i]))
+                                               for (name, values), i in zip(axes, idx)])
+                    assert ((grid.t_star[idx], grid.values[idx])
+                            == max_over_time(cell, window))
+
+    def test_weight_rows_and_detuning_sets_built_once_per_distinct_key(self, monkeypatch):
+        from dimerbath import dynamics
+        rows, sets = [], []
+
+        def weight_rows(N1, alpha1, N2, alpha2, beta, q, build=dynamics._log_weight_rows):
+            rows.extend(zip(beta, q))
+            return build(N1, alpha1, N2, alpha2, beta, q)
+
+        def detunings(gap, gamma1, gamma2, m1, m2, build=dynamics._detunings):
+            sets.append((gamma1, gamma2))
+            return build(gap, gamma1, gamma2, m1, m2)
+
+        def no_config(*args, **fields):
+            raise AssertionError("a finite-temperature cell built a config")
+        monkeypatch.setattr(dynamics, "_log_weight_rows", weight_rows)
+        monkeypatch.setattr(dynamics, "_detunings", detunings)
+        monkeypatch.setattr(sweeps, "_apply_parameter", no_config)
+        window = TimeWindow(coarse_steps=400)
+        hot = make_config(N1=6, gamma1=1.3, N2=5, gamma2=1.3, thermal=ThermalSpec.kelvin(77.0))
+        # (base, axes, distinct (beta, q) rows, distinct (J, gamma1, gamma2) sets)
+        cases = [
+            (hot, [("gamma_both", [0.5, 1.0, 2.0]), ("q", [0.0, 5.0, 5.0, 30.0])], 3, 3),
+            (hot, [("q", [0.0, -0.0, 30.0]), ("temperature", [77.0, 300.0])], 6, 1),
+            (make_config(N1=6, N2=5),
+             [("temperature", [77.0, 300.0]), ("J", [3.0, 10.0])], 2, 2),
+            (hot, [("gamma1", [0.0, -0.0]), ("gamma2", [0.0, 1.0, 2.0])], 1, 6),
+            (hot, [("J", [3.0, 10.0, 3.0])], 1, 2),
+        ]
+        for base, axes, n_rows, n_sets in cases:
+            rows.clear()
+            sets.clear()
+            sweep(base, axes, window)
+            assert (len(rows), len(sets)) == (n_rows, n_sets)
+            assert len({(float(b).hex(), float(q).hex()) for b, q in rows}) == n_rows
+
+    def test_cells_get_their_own_configs_detunings_and_weights(self):
+        # keys are float bits: a -0.0 coupling keeps its own signed zeros.
+        # The witness merges each cell's own sectors one config at a time.
+        from dimerbath.dynamics import _detuning_groups, _sector_arrays
+        base = make_config(eps1=5.0, eps2=5.0, N1=4, N2=3, thermal=ThermalSpec.from_beta(0.01))
+        gamma1 = np.array([0.0, -0.0, 0.0, 1.5, -0.0, 1.5])
+        gamma2 = np.array([-0.0, 0.0, 0.0, 1.5, -0.0, 0.7])
+        q = np.array([0.0, -0.0, 30.0, 0.0, 0.0, 30.0])
+        seen = []
+        for J, detunings, cells, weights in _detuning_groups(base, gamma1=gamma1,
+                                                             gamma2=gamma2, q=q):
+            for i, row in zip(cells, weights):
+                cell = _cell_config(base, [("gamma1", gamma1[i]), ("gamma2", gamma2[i]),
+                                           ("q", q[i])])
+                w, delta = _sector_arrays(cell)
+                detunings_own, inverse = np.unique(delta, return_inverse=True)
+                assert J == cell.dimer.J
+                assert detunings.tobytes() == detunings_own.tobytes()
+                assert row.tobytes() == np.bincount(inverse, weights=w).tobytes()
+                seen.append(i)
+        assert sorted(seen) == list(range(6))
+
+    def test_weight_row_memory_is_bounded(self):
+        import tracemalloc
+        # 201 x 201 sectors under 12 x 12 (beta, q) rows: unblocked, the
+        # weight rows would take 47 MB per temporary; with no coupling all
+        # sectors share one detuning, so the merged weights are tiny
+        cfg = make_config(N1=200, N2=200, thermal=ThermalSpec.kelvin(300.0))
+        axes = [("temperature", np.linspace(50.0, 400.0, 12)),
+                ("q", np.linspace(0.0, 40.0, 12))]
+        tracemalloc.start()
+        try:
+            grid = sweep(cfg, axes, TimeWindow(coarse_steps=400))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+        assert np.isfinite(grid.values).all()
 
     def test_refines_every_candidate_peak(self):
         # two near-equal peaks: refining only the best coarse sample polished
@@ -255,9 +357,29 @@ class TestBatchedEngine:
         np.testing.assert_array_equal(grid.t_star, full.t_star)
 
 
+def _cell_config(config, assignments):
+    """config with each (sweep parameter, value) of a cell set on it.
+
+    Written out apart from sweeps._FIELDS, so that a wrong entry there
+    does not also set the witness config.
+    """
+    for name, v in assignments:
+        if name in ("gamma1", "gamma_both"):
+            config = replace(config, bath1=replace(config.bath1, gamma=v))
+        if name in ("gamma2", "gamma_both"):
+            config = replace(config, bath2=replace(config.bath2, gamma=v))
+        if name == "q":
+            config = replace(config, correlation=replace(config.correlation, q=v))
+        if name == "temperature":
+            config = replace(config, thermal=ThermalSpec.kelvin(v))
+        if name == "J":
+            config = replace(config, dimer=replace(config.dimer, J=v))
+    return config
+
+
 def _group(cfg):
     from dimerbath.dynamics import _detuning_groups
-    [(J, detunings, _, weights)] = _detuning_groups([cfg])
+    [(J, detunings, _, weights)] = _detuning_groups(cfg)
     return J, detunings, weights
 
 
@@ -290,11 +412,9 @@ class TestNewtonEngine:
     def test_scan_rows_do_not_see_each_other(self, sizes):
         # (200, 30) spans several detuning blocks and row batches
         from dimerbath.dynamics import _detuning_groups, _rabi_scan
-        cells = [make_config(N1=sizes[0], gamma1=1.3, N2=sizes[1],
-                             gamma2=1.3 * math.sqrt(2.0), q=q,
-                             thermal=ThermalSpec.kelvin(77.0))
-                 for q in np.linspace(0.0, 40.0, 9)]
-        [(J, detunings, _, weights)] = _detuning_groups(cells)
+        base = make_config(N1=sizes[0], gamma1=1.3, N2=sizes[1],
+                           gamma2=1.3 * math.sqrt(2.0), thermal=ThermalSpec.kelvin(77.0))
+        [(J, detunings, _, weights)] = _detuning_groups(base, q=np.linspace(0.0, 40.0, 9))
         together = _rabi_scan(J, detunings, weights, 0.0, 2.0 / 1999, 2000)
         for r in range(len(weights)):
             alone = _rabi_scan(J, detunings, weights[r:r + 1], 0.0, 2.0 / 1999, 2000)
