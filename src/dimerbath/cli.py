@@ -18,11 +18,11 @@ import numpy as np
 
 from . import __version__
 from .config import (ConfigValidationError, SystemConfig, config_to_dict,
-                     load_config, validate)
+                     load_config)
 from .dynamics import (_ground_branch, assistance_condition, p12,
                        p12_correlated_zero_temp, p12_thermal, p12_zero_temp,
                        q_threshold, resonance_gamma)
-from .oracle import MAX_BATH_SPINS, OracleSizeError, evolve_probability
+from .oracle import MAX_BATH_SPINS, evolve_probability
 from .sweeps import TimeWindow, max_over_time, sweep
 
 EXIT_OK = 0
@@ -34,40 +34,39 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-# rows formatted per write of emit_curve_csv; bounds its string buffers
+# rows formatted per write of _emit_csv; bounds its string buffers
 _CSV_CHUNK = 512
 
 
-def emit_curve_csv(path: str, ts, ps):
-    """t_ps,p12 rows, each value as _fmt gives it, one chunk of rows per write."""
-    ts, ps = np.atleast_1d(ts), np.atleast_1d(ps)
-    n = min(ts.size, ps.size)
+def _emit_csv(path: str, header: str, columns):
+    """The header line, then one row per index of the columns, up to the
+    shortest, each value as _fmt gives it, one chunk of rows per write."""
+    n = min(len(c) for c in columns)
+    line = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w") as fh:
-        fh.write("t_ps,p12\n")
+        fh.write(header + "\n")
         for lo in range(0, n, _CSV_CHUNK):
             hi = min(n, lo + _CSV_CHUNK)
-            chunk = np.column_stack((ts[lo:hi], ps[lo:hi]))
-            fh.write(("%.17g,%.17g\n" * len(chunk)) % tuple(chunk.ravel().tolist()))
+            chunk = np.column_stack([c[lo:hi] for c in columns])
+            fh.write((line * len(chunk)) % tuple(chunk.ravel().tolist()))
+
+
+def emit_curve_csv(path: str, ts, ps):
+    """t_ps,p12 rows, as many as the shorter of ts and ps."""
+    _emit_csv(path, "t_ps,p12", [np.atleast_1d(ts), np.atleast_1d(ps)])
 
 
 def emit_grid_csv(path: str, grid):
     """2D grid: header `param2\\param1` + axis-1 values, then one row per
     axis-2 value, row-major."""
-    with open(path, "w") as fh:
-        header = [f"{grid.axis2_name}\\{grid.axis1_name}"]
-        header += [_fmt(v) for v in grid.axis1_values]
-        fh.write(",".join(header) + "\n")
-        for j, v2 in enumerate(grid.axis2_values):
-            row = [_fmt(v2)] + [_fmt(grid.values[i, j])
-                                for i in range(len(grid.axis1_values))]
-            fh.write(",".join(row) + "\n")
+    header = [f"{grid.axis2_name}\\{grid.axis1_name}"]
+    header += [_fmt(v) for v in grid.axis1_values]
+    _emit_csv(path, ",".join(header), [grid.axis2_values, *grid.values])
 
 
 def emit_1d_csv(path: str, grid):
-    with open(path, "w") as fh:
-        fh.write(f"{grid.axis1_name},p_max,t_star\n")
-        for v, p, t in zip(grid.axis1_values, grid.values, grid.t_star):
-            fh.write(f"{_fmt(v)},{_fmt(p)},{_fmt(t)}\n")
+    _emit_csv(path, f"{grid.axis1_name},p_max,t_star",
+              [grid.axis1_values, grid.values, grid.t_star])
 
 
 def emit_argmax_sidecar(path: str, grid):
@@ -135,17 +134,7 @@ def _curve_command(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    try:
-        config = load_config(args.config)
-    except ConfigValidationError as exc:
-        for err in exc.errors:
-            print(err, file=sys.stderr)
-        return EXIT_USAGE
-    errors = validate(config)
-    if errors:
-        for err in errors:
-            print(err, file=sys.stderr)
-        return EXIT_USAGE
+    load_config(args.config)
     print("ok")
     return EXIT_OK
 
@@ -172,17 +161,15 @@ def cmd_sweep(args) -> int:
     if not axes:
         raise ConfigValidationError(["at least one --axis is required"])
     grid = sweep(config, axes, _window_from_args(args))
-    outputs = [args.out]
     if grid.axis2_name is None:
         emit_1d_csv(args.out, grid)
     else:
         emit_grid_csv(args.out, grid)
     sidecar = os.path.splitext(args.out)[0] + ".argmax.txt"
     emit_argmax_sidecar(sidecar, grid)
-    outputs.append(sidecar)
     axes_echo = [{"name": name, "min": float(v[0]), "max": float(v[-1]),
                   "count": len(v)} for name, v in axes]
-    write_manifest(args.out, "sweep", config, started, outputs,
+    write_manifest(args.out, "sweep", config, started, [args.out, sidecar],
                    grid.argmax, axes=axes_echo)
     print(f"global max p = {_fmt(grid.argmax['p_star'])} at "
           + ", ".join(f"{k}={_fmt(v)}"
@@ -298,17 +285,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except OracleSizeError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
     except ConfigValidationError as exc:
         for err in exc.errors:
             print(err, file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
 

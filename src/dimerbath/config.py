@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import typing
 from dataclasses import dataclass, field
 
 # hbar / k_B in ps*K (CODATA 2018: hbar = 1.054571817e-34 J s,
@@ -140,15 +141,10 @@ def validate(config: SystemConfig) -> list[str]:
                  bool(th.zero_temperature)])
     if n_set != 1:
         errors.append("exactly one of temperature_kelvin, beta, zero_temperature must be set")
-    if th.temperature_kelvin is not None:
-        if not (isinstance(th.temperature_kelvin, (int, float))
-                and math.isfinite(th.temperature_kelvin)
-                and th.temperature_kelvin > 0):
-            errors.append("temperature must be positive")
-    if th.beta_ps is not None:
-        if not (isinstance(th.beta_ps, (int, float))
-                and math.isfinite(th.beta_ps) and th.beta_ps > 0):
-            errors.append("beta must be positive")
+    for label, value in (("temperature", th.temperature_kelvin), ("beta", th.beta_ps)):
+        if value is not None and not (isinstance(value, (int, float))
+                                      and math.isfinite(value) and value > 0):
+            errors.append(f"{label} must be positive")
     return errors
 
 
@@ -160,17 +156,18 @@ def validated(config: SystemConfig) -> SystemConfig:
     return config
 
 
-_CONFIG_KEYS = {
-    "epsilon1", "epsilon2", "J",
-    "N1", "alpha1", "gamma1",
-    "N2", "alpha2", "gamma2",
-    "q", "temperature_kelvin", "beta", "zero_temperature",
+# each flat JSON key's place in SystemConfig, as (part, field); q is the one
+# optional key, and exactly one of _THERMAL_KEYS gives the ThermalSpec
+_KEYS = {
+    "epsilon1": ("dimer", "epsilon1"), "epsilon2": ("dimer", "epsilon2"),
+    "J": ("dimer", "J"),
+    "N1": ("bath1", "N"), "alpha1": ("bath1", "alpha"), "gamma1": ("bath1", "gamma"),
+    "N2": ("bath2", "N"), "alpha2": ("bath2", "alpha"), "gamma2": ("bath2", "gamma"),
+    "q": ("correlation", "q"),
 }
-_REQUIRED_KEYS = {
-    "epsilon1", "epsilon2", "J",
-    "N1", "alpha1", "gamma1",
-    "N2", "alpha2", "gamma2",
-}
+_THERMAL_KEYS = ("temperature_kelvin", "beta", "zero_temperature")
+# the dataclass of each part, read off SystemConfig's annotations
+_PART_TYPES = typing.get_type_hints(SystemConfig)
 
 
 def config_from_dict(data: dict) -> SystemConfig:
@@ -179,14 +176,13 @@ def config_from_dict(data: dict) -> SystemConfig:
     Unknown keys are a hard error to guard against silent typos.
     """
     errors = []
-    unknown = set(data) - _CONFIG_KEYS
+    unknown = set(data) - set(_KEYS) - set(_THERMAL_KEYS)
     if unknown:
         errors.append(f"unknown config keys: {', '.join(sorted(unknown))}")
-    missing = _REQUIRED_KEYS - set(data)
+    missing = set(_KEYS) - {"q"} - set(data)
     if missing:
         errors.append(f"missing config keys: {', '.join(sorted(missing))}")
-    thermal_keys = [k for k in ("temperature_kelvin", "beta", "zero_temperature")
-                    if data.get(k) not in (None, False)]
+    thermal_keys = [k for k in _THERMAL_KEYS if data.get(k) not in (None, False)]
     if len(thermal_keys) != 1:
         errors.append("exactly one of temperature_kelvin, beta, zero_temperature:true "
                       "must be given")
@@ -200,31 +196,20 @@ def config_from_dict(data: dict) -> SystemConfig:
     else:
         thermal = ThermalSpec.zero()
 
-    config = SystemConfig(
-        dimer=DimerParams(epsilon1=data["epsilon1"], epsilon2=data["epsilon2"],
-                          J=data["J"]),
-        bath1=BathParams(N=data["N1"], alpha=data["alpha1"], gamma=data["gamma1"]),
-        bath2=BathParams(N=data["N2"], alpha=data["alpha2"], gamma=data["gamma2"]),
-        correlation=CorrelationParams(q=data.get("q", 0.0)),
-        thermal=thermal,
-    )
+    parts = {}
+    for key, (part, name) in _KEYS.items():
+        if key in data:
+            parts.setdefault(part, {})[name] = data[key]
+    config = SystemConfig(thermal=thermal,
+                          **{part: _PART_TYPES[part](**kwargs)
+                             for part, kwargs in parts.items()})
     return validated(config)
 
 
 def config_to_dict(config: SystemConfig) -> dict:
     """Flat JSON representation, inverse of config_from_dict."""
-    data = {
-        "epsilon1": config.dimer.epsilon1,
-        "epsilon2": config.dimer.epsilon2,
-        "J": config.dimer.J,
-        "N1": config.bath1.N,
-        "alpha1": config.bath1.alpha,
-        "gamma1": config.bath1.gamma,
-        "N2": config.bath2.N,
-        "alpha2": config.bath2.alpha,
-        "gamma2": config.bath2.gamma,
-        "q": config.correlation.q,
-    }
+    data = {key: getattr(getattr(config, part), name)
+            for key, (part, name) in _KEYS.items()}
     th = config.thermal
     if th.zero_temperature:
         data["zero_temperature"] = True

@@ -299,10 +299,7 @@ _FIELDS = {"gamma1": ("gamma1",), "gamma2": ("gamma2",),
 
 
 def _cell_parameters(names, values) -> dict:
-    """Per-cell value of every field the axes set, flat in C order.
-
-    A later axis overrides an earlier one that sets the same field.
-    """
+    """Per-cell value of every field the axes set, flat in C order."""
     cells = {}
     for name, grid in zip(names, np.meshgrid(*values, indexing="ij")):
         for field in _FIELDS[name]:
@@ -378,7 +375,8 @@ def _apply_parameter(config: SystemConfig, **fields) -> SystemConfig:
 
 
 def _check_axis_values(names, values):
-    """Every error an axis value would raise in some cell, found before any work."""
+    """Every error an axis value would raise in some cell, and any field that
+    two axes set, found before any work."""
     errors = []
     for name, v in zip(names, values):
         if v.size == 0:
@@ -389,6 +387,9 @@ def _check_axis_values(names, values):
             errors.append("temperature axis values must be positive")
         elif name == "J" and (v == 0).any():
             errors.append("J axis values must be nonzero")
+    fields = [f for name in names for f in _FIELDS.get(name, ())]
+    if len(set(fields)) < len(fields):
+        errors.append(f"axes {' and '.join(names)} set the same field")
     if errors:
         raise ConfigValidationError(errors)
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from dimerbath import sweep
 from dimerbath.cli import main
 
 FIG2_FREE = {
@@ -178,6 +179,68 @@ def test_curve_csv_bytes_equal_the_per_line_writer(tmp_path):
         emit_curve_csv(str(tmp_path / "new.csv"), ts, ps)
         _per_line_csv(str(tmp_path / "old.csv"), ts, ps)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def _per_value_grid_csv(path, grid):
+    """A sweep CSV written one formatted value at a time."""
+    f = lambda x: format(float(x), ".17g")
+    with open(path, "w") as fh:
+        if grid.axis2_name is None:
+            fh.write(f"{grid.axis1_name},p_max,t_star\n")
+            for v, p, t in zip(grid.axis1_values, grid.values, grid.t_star):
+                fh.write(f"{f(v)},{f(p)},{f(t)}\n")
+            return
+        fh.write(",".join([f"{grid.axis2_name}\\{grid.axis1_name}"]
+                          + [f(v) for v in grid.axis1_values]) + "\n")
+        for j, v2 in enumerate(grid.axis2_values):
+            fh.write(",".join([f(v2)] + [f(x) for x in grid.values[:, j]]) + "\n")
+
+
+# each case has a -0.0 row value (the stop of a descending range) and more
+# rows than one write of the CSV writer holds
+@pytest.mark.parametrize("axes", [
+    ["gamma2=-2:-0:600"],
+    ["gamma1=-0.5:-0:3", "gamma2=-2:-0:700"],
+    ["t=-1:-0:1100"],
+    ["gamma2=-2:-0:3", "t=-1:-0:700"],
+    ["t=0:1:4", "q=-600:-0:601"],
+])
+def test_sweep_csv_bytes_equal_the_per_value_writer(config_file, tmp_path,
+                                                     monkeypatch, axes):
+    import dimerbath.cli as cli
+    grids = []
+    monkeypatch.setattr(cli, "sweep", lambda *args: grids.append(sweep(*args)) or grids[-1])
+    out = tmp_path / "grid.csv"
+    argv = ["sweep", "--config", config_file(gamma2=2.0), "--out", str(out)]
+    assert main(argv + [a for axis in axes for a in ("--axis", axis)]) == 0
+    [grid] = grids
+    rows = len(grid.axis1_values) if grid.axis2_name is None else len(grid.axis2_values)
+    assert rows > cli._CSV_CHUNK
+    assert "-0," in out.read_text()
+    _per_value_grid_csv(str(tmp_path / "old.csv"), grid)
+    assert out.read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_sweep_rejects_axes_that_set_one_field(config_file, tmp_path, capsys):
+    out = tmp_path / "grid.csv"
+    assert main(["sweep", "--config", config_file(), "--axis", "gamma1=0:1:2",
+                 "--axis", "gamma_both=0:2:3", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "axes gamma1 and gamma_both set the same field\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "No such file or directory"),
+    ("{not json", "Expecting property name"),
+    ("[1, 2]", "config file must contain a JSON object"),
+])
+def test_validate_unreadable_config_exits_2(tmp_path, capsys, content, message):
+    path = tmp_path / "config.json"
+    if content is not None:
+        path.write_text(content)
+    assert main(["validate", "--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and message in err and err.count("\n") == 1
 
 
 def test_resonance_command(config_file, capsys):

@@ -106,11 +106,37 @@ FULL = {
 }
 
 
-def test_config_from_dict_round_trip():
-    cfg = config_from_dict(FULL)
-    assert config_from_dict(config_to_dict(cfg)) == cfg
-    assert cfg.bath2.gamma == 2.0
-    assert cfg.thermal.temperature_kelvin == 77.0
+THERMAL = {"temperature_kelvin": (77.0, ThermalSpec.kelvin(77.0)),
+           "beta": (0.1, ThermalSpec.from_beta(0.1)),
+           "zero_temperature": (True, ThermalSpec.zero())}
+
+
+@pytest.mark.parametrize("key", list(THERMAL))
+def test_config_from_dict_round_trip(key):
+    value, thermal = THERMAL[key]
+    # distinct values, so a key read into the wrong field shows
+    data = dict(FULL, epsilon1=0.5, gamma1=0.25, alpha2=240.0, q=3.0)
+    del data["temperature_kelvin"]
+    data[key] = value
+    cfg = config_from_dict(data)
+    assert cfg == make_config(eps1=0.5, eps2=20.0, J=10.0, N1=1, alpha1=250.0,
+                              gamma1=0.25, N2=20, alpha2=240.0, gamma2=2.0,
+                              q=3.0, thermal=thermal)
+    assert config_to_dict(cfg) == data
+    del data["q"]
+    assert config_to_dict(config_from_dict(data)) == dict(data, q=0.0)
+
+
+def test_config_from_dict_reports_every_key_error_in_order():
+    data = dict(FULL, gama2=2.0, beta=0.1)
+    del data["alpha1"]
+    with pytest.raises(ConfigValidationError) as exc:
+        config_from_dict(data)
+    assert exc.value.errors == [
+        "unknown config keys: gama2",
+        "missing config keys: alpha1",
+        "exactly one of temperature_kelvin, beta, zero_temperature:true must be given",
+    ]
 
 
 def test_config_from_dict_rejects_unknown_keys():

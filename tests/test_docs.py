@@ -1,9 +1,11 @@
-"""README's list of entry points names only what the package has."""
+"""README names only what the package has, and every CLI subcommand."""
 
+import argparse
 import re
 from pathlib import Path
 
 import dimerbath
+from dimerbath.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -40,3 +42,14 @@ def test_every_dotted_package_name_resolves():
         for dotted in re.findall(r"`([A-Za-z_]\w*(?:\.\w+)+)`", bullet):
             if hasattr(dimerbath, dotted.split(".")[0]):
                 assert _resolves(dotted), f"README names missing `{dotted}`"
+
+
+def test_readme_cli_section_names_exactly_the_subcommands():
+    section = README.read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    [subparsers] = [a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)]
+    commands = set(subparsers.choices)
+    examples = set(re.findall(r"\bdimer ([\w-]+)", section))
+    assert examples <= commands, f"README runs no such subcommand: {examples - commands}"
+    named = examples | set(re.findall(r"`([\w-]+)`", section))
+    assert commands <= named, f"README's CLI section omits {commands - named}"

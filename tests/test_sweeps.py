@@ -318,6 +318,11 @@ class TestBatchedEngine:
                      [("t", []), ("q", [1.0])]):
             with pytest.raises(ConfigValidationError, match="no values"):
                 sweep(cfg, axes)
+        for axes in ([("q", [0.0, 30.0]), ("q", [5.0, 10.0])],
+                     [("gamma1", [1.0]), ("gamma_both", [2.0])],
+                     [("gamma_both", [1.0]), ("gamma2", [2.0])]):
+            with pytest.raises(ConfigValidationError, match="set the same field"):
+                sweep(cfg, axes)
         assert calls == []
         sweep(cfg, [("temperature", [77.0])], TimeWindow(coarse_steps=800))
         assert calls
