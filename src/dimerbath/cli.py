@@ -65,8 +65,13 @@ def emit_grid_csv(path: str, grid):
 
 
 def emit_1d_csv(path: str, grid):
-    _emit_csv(path, f"{grid.axis1_name},p_max,t_star",
-              [grid.axis1_values, grid.values, grid.t_star])
+    """One row per axis value: value,p_max,t_star, or t,p12 on a time axis,
+    whose t* is the row's t."""
+    if grid.axis1_name == "t":
+        _emit_csv(path, "t,p12", [grid.axis1_values, grid.values])
+    else:
+        _emit_csv(path, f"{grid.axis1_name},p_max,t_star",
+                  [grid.axis1_values, grid.values, grid.t_star])
 
 
 def emit_argmax_sidecar(path: str, grid):
@@ -171,10 +176,10 @@ def cmd_sweep(args) -> int:
                   "count": len(v)} for name, v in axes]
     write_manifest(args.out, "sweep", config, started, [args.out, sidecar],
                    grid.argmax, axes=axes_echo)
-    print(f"global max p = {_fmt(grid.argmax['p_star'])} at "
-          + ", ".join(f"{k}={_fmt(v)}"
-                      for k, v in grid.argmax["parameters"].items())
-          + f", t={_fmt(grid.argmax['t_star'])} ps")
+    # a time axis's parameter is t* itself: t is named once, last
+    at = [f"{k}={_fmt(v)}" for k, v in grid.argmax["parameters"].items() if k != "t"]
+    at.append(f"t={_fmt(grid.argmax['t_star'])} ps")
+    print(f"global max p = {_fmt(grid.argmax['p_star'])} at " + ", ".join(at))
     return EXIT_OK
 
 

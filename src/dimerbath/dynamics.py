@@ -14,6 +14,7 @@ and zero temperature takes the ground-state corner's detuning
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,7 +75,8 @@ def _sector_arrays(config: SystemConfig):
 
 # elements of one (times x detunings) block of the Rabi kernel, and of one
 # block of weight rows; bounds the memory of a call whatever the number of
-# times, detunings or cells
+# times, detunings or cells: at most one block per thread, so p12's curves
+# hold at most workers x block
 _KERNEL_BLOCK = 1 << 16
 
 
@@ -338,6 +340,14 @@ def _ground_branch(config: SystemConfig) -> GroundStateBranch:
                                    b1.N, b2.N)
 
 
+def _allowed_cpus() -> int:
+    """Number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def p12(config: SystemConfig, t):
     """Transition probability in the regime the config is in.
 
@@ -345,12 +355,36 @@ def p12(config: SystemConfig, t):
     with states of equal detuning merged: the thermal sectors at finite
     temperature (q = 0 gives independent baths), the ground-state branch's
     detuning at zero temperature (q = 0 gives both baths all-down).  Each
-    value depends on its own t alone.
+    value depends on its own t alone.  A curve longer than one kernel
+    block is cut into blocks that threads of a pool made for this call
+    take in order, one thread per allowed CPU at most; as each value
+    depends on its own t alone, the bits do not depend on the threads.
     """
     [(J, detunings, _, w)] = _detuning_groups(config)
     t = np.asarray(t, dtype=float)
-    p = _rabi_average_paired(J, detunings, w, np.zeros(t.size, dtype=np.intp),
-                             t.ravel()).reshape(t.shape)
+    times = t.ravel()
+    rows = np.zeros(times.size, dtype=np.intp)
+    step = max(1, _KERNEL_BLOCK // detunings.size)
+    chunks = -(-times.size // step)
+    workers = min(chunks, _allowed_cpus()) if chunks > 1 else 1
+    if workers < 2:
+        p = _rabi_average_paired(J, detunings, w, rows, times)
+    else:
+        p = np.empty(times.size)
+
+        def run(block: slice):
+            p[block] = _rabi_average_paired(J, detunings, w, rows[block], times[block])
+
+        # imported here: concurrent.futures brings in logging, a few ms of
+        # start-up that processes without a long curve do not pay
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(workers) as pool:
+            # reading every result re-raises the first failure; the map
+            # then cancels the chunks not yet started
+            for _ in pool.map(run, (slice(lo, lo + step)
+                                    for lo in range(0, times.size, step))):
+                pass
+    p = p.reshape(t.shape)
     return float(p) if p.ndim == 0 else p
 
 

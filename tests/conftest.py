@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -34,3 +36,13 @@ def random_config(rng, n_max=5, zero_temp=False, q_zero=False):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260823)
+
+
+@pytest.fixture(autouse=True)
+def no_thread_outlives_its_test():
+    """Fail any test that leaves alive a thread it started."""
+    before = set(threading.enumerate())
+    yield
+    left = [t.name for t in threading.enumerate() if t not in before]
+    if left:
+        pytest.fail(f"threads still alive after the test: {left}")

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from dimerbath import sweep
+from dimerbath import load_config, p12, sweep
 from dimerbath.cli import main
 
 FIG2_FREE = {
@@ -131,6 +131,38 @@ def test_sweep_one_axis(config_file, tmp_path):
     assert len(lines) == 10
 
 
+def test_sweep_time_axis_writes_t_and_p12(config_file, tmp_path, capsys):
+    path = config_file(gamma2=2.0)
+    out = tmp_path / "line.csv"
+    assert main(["sweep", "--config", path, "--axis", "t=0:1:4",
+                 "--out", str(out)]) == 0
+    ts = np.linspace(0.0, 1.0, 4)
+    ps = p12(load_config(path), ts)
+    assert out.read_text().splitlines() == (
+        ["t,p12"] + [f"{t:.17g},{p:.17g}" for t, p in zip(ts, ps)])
+    i = int(ps.argmax())
+    assert capsys.readouterr().out == f"global max p = {ps[i]:.17g} at t={ts[i]:.17g} ps\n"
+    sidecar = (tmp_path / "line.argmax.txt").read_text().splitlines()
+    assert [line.split(" = ")[0] for line in sidecar] == ["t", "t_star", "p_star"]
+
+
+@pytest.mark.parametrize("axes", [["gamma2=0:2:3", "t=0:1:4"], ["t=0:1:4", "gamma2=0:2:3"]])
+def test_sweep_grid_with_time_axis_names_t_once(config_file, tmp_path, capsys, axes):
+    path = config_file()
+    out = tmp_path / "grid.csv"
+    assert main(["sweep", "--config", path, "--axis", axes[0], "--axis", axes[1],
+                 "--out", str(out)]) == 0
+    grid = sweep(load_config(path), [("gamma2", np.linspace(0.0, 2.0, 3)),
+                                     ("t", np.linspace(0.0, 1.0, 4))])
+    g, t = grid.argmax["parameters"]["gamma2"], grid.argmax["t_star"]
+    assert capsys.readouterr().out == (
+        f"global max p = {grid.argmax['p_star']:.17g} at gamma2={g:.17g}, t={t:.17g} ps\n")
+    names = [axis.split("=")[0] for axis in axes]
+    assert out.read_text().splitlines()[0].startswith(f"{names[1]}\\{names[0]},")
+    manifest = json.loads((tmp_path / "grid.csv.manifest.json").read_text())
+    assert set(manifest["summary"]["parameters"]) == {"gamma2", "t"}
+
+
 def test_sweep_bad_axis(config_file, tmp_path, capsys):
     assert main(["sweep", "--config", config_file(),
                  "--axis", "gamma5=0:1:2",
@@ -185,6 +217,11 @@ def _per_value_grid_csv(path, grid):
     """A sweep CSV written one formatted value at a time."""
     f = lambda x: format(float(x), ".17g")
     with open(path, "w") as fh:
+        if grid.axis1_name == "t" and grid.axis2_name is None:
+            fh.write("t,p12\n")
+            for t, p in zip(grid.axis1_values, grid.values):
+                fh.write(f"{f(t)},{f(p)}\n")
+            return
         if grid.axis2_name is None:
             fh.write(f"{grid.axis1_name},p_max,t_star\n")
             for v, p, t in zip(grid.axis1_values, grid.values, grid.t_star):

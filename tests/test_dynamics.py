@@ -1,14 +1,20 @@
+import concurrent.futures
+import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from dimerbath import (GroundStateBranch, ThermalSpec, assistance_condition,
-                       correlated_ground_state, delta0_correlated, p12,
-                       p12_correlated_zero_temp, p12_thermal, p12_thermal_jm,
-                       p12_zero_temp, q_threshold, rabi_probability,
-                       resonance_gamma, thermal_weights)
-from dimerbath.dynamics import _sector_arrays
+from dimerbath import (GroundStateBranch, ThermalSpec, TimeWindow,
+                       assistance_condition, config_to_dict, correlated_ground_state,
+                       delta0_correlated, dynamics, p12, p12_correlated_zero_temp,
+                       p12_thermal, p12_thermal_jm, p12_zero_temp, q_threshold,
+                       rabi_probability, resonance_gamma, sweep, thermal_weights)
+from dimerbath.cli import main
+from dimerbath.dynamics import (_KERNEL_BLOCK, _detuning_groups, _rabi_average_paired,
+                                _sector_arrays)
 from conftest import make_config, random_config
 
 BOTH_DOWN = GroundStateBranch(branch="both_down")
@@ -373,3 +379,147 @@ def test_fuzz_probability_bounds(rng):
         p = p12_thermal(cfg, t)
         assert np.all((p >= 0.0) & (p <= 1.0))
         assert p12_thermal(cfg, 0.0) == 0.0
+
+
+def _serial_blocks(cfg, t):
+    """p12 written as the plain loop over kernel blocks, on this thread."""
+    [(J, detunings, _, w)] = _detuning_groups(cfg)
+    times = np.asarray(t, dtype=float).ravel()
+    step = max(1, _KERNEL_BLOCK // detunings.size)
+    p = np.empty(times.size)
+    for lo in range(0, times.size, step):
+        block = times[lo:lo + step]
+        p[lo:lo + step] = _rabi_average_paired(J, detunings, w,
+                                               np.zeros(block.size, dtype=np.intp), block)
+    return p
+
+
+def _block_step(cfg):
+    [(_, detunings, _, _)] = _detuning_groups(cfg)
+    return max(1, _KERNEL_BLOCK // detunings.size)
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """Names of the threads started while the test runs."""
+    started, start = [], threading.Thread.start
+
+    def spy(self):
+        started.append(self.name)
+        start(self)
+    monkeypatch.setattr(threading.Thread, "start", spy)
+    return started
+
+
+@pytest.fixture
+def executors(monkeypatch):
+    """Worker counts of the executors p12 builds while the test runs."""
+    built = []
+
+    class Spy(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, workers):
+            built.append(workers)
+            super().__init__(workers)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Spy)
+    return built
+
+
+@pytest.fixture
+def short_switch_interval():
+    """Threads switch every microsecond, so blocks interleave as much as they can."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _allow_cpus(monkeypatch, n):
+    monkeypatch.setattr(dynamics.os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+
+
+@pytest.mark.parametrize("zero_temp", [False, True])
+def test_threaded_curve_equals_the_serial_blocks(rng, monkeypatch, executors,
+                                                short_switch_interval, zero_temp):
+    # a time array cut into threads' blocks has the bits of one thread's
+    # loop, with more threads than this machine may have CPUs
+    _allow_cpus(monkeypatch, 4)
+    cfg = random_config(rng, n_max=8, zero_temp=zero_temp)
+    step = _block_step(cfg)
+    for size in (0, 1, step - 1, step, step + 1, 7 * step + 3):
+        ts = rng.uniform(0.0, 20.0, size=size)
+        witness = _serial_blocks(cfg, ts)
+        p = p12(cfg, ts)
+        assert p.shape == ts.shape and p.tobytes() == witness.tobytes()
+        if size % 3 == 0:
+            grid = p12(cfg, ts.reshape(3, -1))
+            assert grid.shape == (3, size // 3) and grid.tobytes() == witness.tobytes()
+        else:
+            assert p12(cfg, ts[None, :]).tobytes() == witness.tobytes()
+        for k in rng.integers(0, size, size=min(size, 5)):
+            value = p12(cfg, float(ts[k]))
+            assert type(value) is float and value == witness[k]
+    # step + 1, then 7 step + 3 times, each flat and as a 2-D array
+    assert executors == [2, 2, 4, 4]
+
+
+def test_one_allowed_cpu_gives_the_same_bits_and_no_thread(rng, monkeypatch, thread_starts):
+    cfg = random_config(rng, n_max=8)
+    ts = rng.uniform(0.0, 20.0, size=5 * _block_step(cfg) + 1)
+    _allow_cpus(monkeypatch, 1)
+    p = p12(cfg, ts)
+    assert thread_starts == []
+    assert p.tobytes() == _serial_blocks(cfg, ts).tobytes()
+
+
+def test_one_block_curve_builds_no_executor(rng, monkeypatch, executors, thread_starts):
+    asked = []
+    monkeypatch.setattr(dynamics.os, "sched_getaffinity",
+                        lambda pid: asked.append(pid) or {0, 1, 2, 3})
+    cfg = random_config(rng, n_max=8)
+    for size in (0, 1, 2, _block_step(cfg)):
+        p12(cfg, np.linspace(0.0, 2.0, size))
+    assert executors == [] and thread_starts == [] and asked == []
+
+
+class ChunkFailure(Exception):
+    pass
+
+
+def test_error_in_one_block_reaches_the_caller_and_no_thread_stays(rng, monkeypatch,
+                                                                   executors):
+    _allow_cpus(monkeypatch, 4)
+    cfg = random_config(rng, n_max=8)
+    step = _block_step(cfg)
+    ts = np.linspace(0.0, 2.0, 6 * step)
+    failure = ChunkFailure("block 3")
+    kernel = dynamics._rabi_average_paired
+
+    def failing(J, detunings, w, rows, t):
+        if t[0] == ts[3 * step]:
+            raise failure
+        return kernel(J, detunings, w, rows, t)
+    monkeypatch.setattr(dynamics, "_rabi_average_paired", failing)
+    before = set(threading.enumerate())
+    with pytest.raises(ChunkFailure) as caught:
+        p12(cfg, ts)
+    assert caught.value is failure and executors == [4]
+    assert set(threading.enumerate()) == before
+
+
+def test_peak_sweeps_and_oracle_check_start_no_thread(monkeypatch, tmp_path, thread_starts,
+                                                      executors):
+    _allow_cpus(monkeypatch, 4)
+    window = TimeWindow(t_min=0.0, t_max=2.0, coarse_steps=2000)
+    finite = make_config(N1=22, N2=20, gamma1=1.0, gamma2=1.0,
+                         thermal=ThermalSpec.kelvin(77.0))
+    sweep(finite, [("gamma_both", [0.5, 2.0]), ("q", np.linspace(0.0, 40.0, 8))], window)
+    zero = make_config(N1=22, N2=20, gamma1=1.0, gamma2=1.0)
+    sweep(zero, [("gamma_both", [0.5, 2.0]), ("q", np.linspace(0.0, 40.0, 8))], window)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config_to_dict(finite)))
+    assert main(["oracle-check", "--config", str(path), "--n1", "3", "--n2", "3",
+                 "--points", "50"]) == 0
+    assert thread_starts == [] and executors == []
