@@ -75,8 +75,8 @@ def _sector_arrays(config: SystemConfig):
 
 # elements of one (times x detunings) block of the Rabi kernel, and of one
 # block of weight rows; bounds the memory of a call whatever the number of
-# times, detunings or cells: at most one block per thread, so p12's curves
-# hold at most workers x block
+# times, detunings or cells: at most one block per thread, so a kernel call
+# holds its output plus at most workers x block
 _KERNEL_BLOCK = 1 << 16
 
 
@@ -153,13 +153,24 @@ def _detuning_groups(config: SystemConfig, **cells):
             for first, members, slot, detunings, _, _, merged in groups]
 
 
+def _allowed_cpus() -> int:
+    """Number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _rabi_average_paired(J: float, detunings: np.ndarray, weights: np.ndarray,
                         rows: np.ndarray, t: np.ndarray) -> np.ndarray:
     """sum_k weights[rows[i], k] K(t[i], D_k) for every i, each at its own time.
 
     K(t, D) = J^2/(J^2 + D^2) * sin^2(t sqrt(J^2 + D^2)).  The time axis is
-    evaluated in blocks, each in place.  Each value is the pairwise sum of
-    its own contiguous row, so it does not depend on the other entries of t.
+    cut into blocks of _KERNEL_BLOCK // K times, each evaluated in place;
+    two or more blocks run in order on a pool made for the call, one thread
+    per allowed CPU at most.  One weight row is broadcast, not gathered.
+    Each value is the pairwise sum of its own contiguous row, so it depends
+    on neither the other entries of t nor the threads.
     """
     omega2 = J * J + detunings * detunings
     # J^2 + D^2 underflows to 0 only where P = sin^2(|J| t) does too
@@ -167,14 +178,30 @@ def _rabi_average_paired(J: float, detunings: np.ndarray, weights: np.ndarray,
     omega = np.sqrt(omega2)
     out = np.empty(t.size)
     step = max(1, _KERNEL_BLOCK // detunings.size)
-    for lo in range(0, t.size, step):
+
+    def run(lo: int):
         block = slice(lo, lo + step)
         K = np.multiply.outer(t[block], omega)
         np.sin(K, out=K)
         np.square(K, out=K)
         K *= amp
-        K *= weights[rows[block]]
+        K *= weights if len(weights) == 1 else weights[rows[block]]
         out[block] = K.sum(axis=-1)
+
+    starts = range(0, t.size, step)
+    workers = min(len(starts), _allowed_cpus()) if len(starts) > 1 else 1
+    if workers < 2:
+        for lo in starts:
+            run(lo)
+        return out
+    # imported here: concurrent.futures brings in logging, a few ms of
+    # start-up that processes without a long curve do not pay
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(workers) as pool:
+        # reading every result re-raises the first failure; the map then
+        # cancels the blocks not yet started
+        for _ in pool.map(run, starts):
+            pass
     return out
 
 
@@ -184,7 +211,8 @@ def _rabi_slopes(J: float, detunings: np.ndarray, weights: np.ndarray,
 
     P' = J^2 sum_k w_k sin(2 omega_k t)/omega_k and
     P'' = 2 J^2 sum_k w_k cos(2 omega_k t), with w = weights[rows[i]].
-    Like the paired kernel, each value depends on its own entry only.
+    As in the paired kernel, one row is broadcast and each value depends on
+    its own entry only; the blocks run on this thread.
     """
     omega = np.sqrt(J * J + detunings * detunings)
     slope, curvature = np.empty(t.size), np.empty(t.size)
@@ -192,7 +220,7 @@ def _rabi_slopes(J: float, detunings: np.ndarray, weights: np.ndarray,
     for lo in range(0, t.size, step):
         block = slice(lo, lo + step)
         phase = 2.0 * np.multiply.outer(t[block], omega)
-        w = weights[rows[block]]
+        w = weights if len(weights) == 1 else weights[rows[block]]
         slope[block] = (w * (np.sin(phase) / omega)).sum(axis=-1)
         curvature[block] = (w * np.cos(phase)).sum(axis=-1)
     return J * J * slope, 2.0 * J * J * curvature
@@ -340,51 +368,22 @@ def _ground_branch(config: SystemConfig) -> GroundStateBranch:
                                    b1.N, b2.N)
 
 
-def _allowed_cpus() -> int:
-    """Number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def p12(config: SystemConfig, t):
     """Transition probability in the regime the config is in.
 
     The Rabi curve averaged over the config's bath states (_sector_arrays),
     with states of equal detuning merged: the thermal sectors at finite
     temperature (q = 0 gives independent baths), the ground-state branch's
-    detuning at zero temperature (q = 0 gives both baths all-down).  Each
-    value depends on its own t alone.  A curve longer than one kernel
-    block is cut into blocks that threads of a pool made for this call
-    take in order, one thread per allowed CPU at most; as each value
-    depends on its own t alone, the bits do not depend on the threads.
+    detuning at zero temperature (q = 0 gives both baths all-down).  One
+    kernel call (_rabi_average_paired) evaluates the whole curve, so each
+    value depends on its own t alone, whatever blocks and threads the
+    kernel cuts a long curve into.
     """
     [(J, detunings, _, w)] = _detuning_groups(config)
     t = np.asarray(t, dtype=float)
     times = t.ravel()
-    rows = np.zeros(times.size, dtype=np.intp)
-    step = max(1, _KERNEL_BLOCK // detunings.size)
-    chunks = -(-times.size // step)
-    workers = min(chunks, _allowed_cpus()) if chunks > 1 else 1
-    if workers < 2:
-        p = _rabi_average_paired(J, detunings, w, rows, times)
-    else:
-        p = np.empty(times.size)
-
-        def run(block: slice):
-            p[block] = _rabi_average_paired(J, detunings, w, rows[block], times[block])
-
-        # imported here: concurrent.futures brings in logging, a few ms of
-        # start-up that processes without a long curve do not pay
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(workers) as pool:
-            # reading every result re-raises the first failure; the map
-            # then cancels the chunks not yet started
-            for _ in pool.map(run, (slice(lo, lo + step)
-                                    for lo in range(0, times.size, step))):
-                pass
-    p = p.reshape(t.shape)
+    p = _rabi_average_paired(J, detunings, w, np.broadcast_to(np.intp(0), times.shape),
+                             times).reshape(t.shape)
     return float(p) if p.ndim == 0 else p
 
 

@@ -23,7 +23,7 @@ import numpy as np
 from .config import SystemConfig
 
 # keeps a 50-point evolve_probability under 1 GiB RSS (measured at 300 K:
-# 23 spins, 414 MiB; 24 spins, 798 MiB)
+# 23 spins, 350 MiB; 24 spins, 670 MiB)
 MAX_BATH_SPINS = 23
 MAX_DENSE_BATH_SPINS = 10  # dense reference: a 2^11 x 2^11 complex matrix
 
@@ -94,21 +94,13 @@ def build_hamiltonian(config: SystemConfig) -> DenseHamiltonian:
 
 
 def _bath_magnetizations(n1: int, n2: int):
-    """m1, m2 for every bath basis index (bit set = spin down)."""
-    idx = np.arange(2 ** (n1 + n2))
-    down1 = np.zeros_like(idx)
-    down2 = np.zeros_like(idx)
-    for bit in range(n1 + n2):
-        # bit 0 is the last site in the kron ordering (bath-2 end)
-        site = n1 + n2 - 1 - bit
-        v = (idx >> bit) & 1
-        if site < n1:
-            down1 += v
-        else:
-            down2 += v
-    m1 = n1 / 2.0 - down1
-    m2 = n2 / 2.0 - down2
-    return m1, m2
+    """m1, m2 for every bath basis index, in kron order (spin up first)."""
+    def spins(n):
+        m = np.zeros(1)
+        for _ in range(n):
+            m = np.add.outer(m, [0.5, -0.5]).ravel()
+        return m
+    return np.repeat(spins(n1), 2 ** n2), np.tile(spins(n2), 2 ** n1)
 
 
 def _ensemble_weights(config: SystemConfig, m1: np.ndarray,

@@ -73,7 +73,7 @@ def _zero_temp_peak(config: SystemConfig, window: TimeWindow) -> tuple[float, fl
     t = max(window.t_min, (k + 0.5) * math.pi / omega)
     if t <= window.t_max:
         return t, J * J / (J * J + d * d)
-    p_min, p_max = p12(config, window.t_min), p12(config, window.t_max)
+    p_min, p_max = p12(config, [window.t_min, window.t_max]).tolist()
     return (window.t_min, p_min) if p_min >= p_max else (window.t_max, p_max)
 
 

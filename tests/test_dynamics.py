@@ -3,6 +3,7 @@ import json
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from dimerbath import (GroundStateBranch, ThermalSpec, TimeWindow,
                        rabi_probability, resonance_gamma, sweep, thermal_weights)
 from dimerbath.cli import main
 from dimerbath.dynamics import (_KERNEL_BLOCK, _detuning_groups, _rabi_average_paired,
-                                _sector_arrays)
+                                _rabi_slopes, _sector_arrays)
 from conftest import make_config, random_config
 
 BOTH_DOWN = GroundStateBranch(branch="both_down")
@@ -382,7 +383,7 @@ def test_fuzz_probability_bounds(rng):
 
 
 def _serial_blocks(cfg, t):
-    """p12 written as the plain loop over kernel blocks, on this thread."""
+    """p12 written as the plain loop over one-block kernel calls, on this thread."""
     [(J, detunings, _, w)] = _detuning_groups(cfg)
     times = np.asarray(t, dtype=float).ravel()
     step = max(1, _KERNEL_BLOCK // detunings.size)
@@ -413,7 +414,7 @@ def thread_starts(monkeypatch):
 
 @pytest.fixture
 def executors(monkeypatch):
-    """Worker counts of the executors p12 builds while the test runs."""
+    """Worker counts of the executors the kernel builds while the test runs."""
     built = []
 
     class Spy(concurrent.futures.ThreadPoolExecutor):
@@ -494,19 +495,54 @@ def test_error_in_one_block_reaches_the_caller_and_no_thread_stays(rng, monkeypa
     cfg = random_config(rng, n_max=8)
     step = _block_step(cfg)
     ts = np.linspace(0.0, 2.0, 6 * step)
+    # every Rabi frequency is positive, so only the fourth block's phases are negative
+    ts[3 * step:4 * step] = -1.0
     failure = ChunkFailure("block 3")
-    kernel = dynamics._rabi_average_paired
 
-    def failing(J, detunings, w, rows, t):
-        if t[0] == ts[3 * step]:
-            raise failure
-        return kernel(J, detunings, w, rows, t)
-    monkeypatch.setattr(dynamics, "_rabi_average_paired", failing)
+    class FailingNumpy:
+        """dynamics' np, whose sin fails inside the kernel's fourth block."""
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def sin(self, x, *args, **kwargs):
+            if x.size and x.flat[0] < 0:
+                raise failure
+            return np.sin(x, *args, **kwargs)
+    monkeypatch.setattr(dynamics, "np", FailingNumpy())
     before = set(threading.enumerate())
     with pytest.raises(ChunkFailure) as caught:
         p12(cfg, ts)
     assert caught.value is failure and executors == [4]
     assert set(threading.enumerate()) == before
+
+
+def test_long_curve_holds_its_output_and_one_block(monkeypatch):
+    # on one CPU a 1e5-point curve needs its output and one kernel block
+    # at a time, with no per-time row index or gathered weight block
+    _allow_cpus(monkeypatch, 1)
+    cfg = make_config(N1=22, gamma1=1.0, N2=20, gamma2=1.0, q=30.0,
+                      thermal=ThermalSpec.kelvin(77.0))
+    ts = np.linspace(0.0, 2.0, 100_000)
+    p12(cfg, ts[:2])
+    tracemalloc.start()
+    try:
+        p12(cfg, ts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= ts.nbytes + 1.5 * _KERNEL_BLOCK * 8
+
+
+@pytest.mark.parametrize("kernel", [_rabi_average_paired, _rabi_slopes])
+def test_one_weight_row_has_the_bits_of_the_per_time_gather(rng, kernel):
+    # two equal rows take the gather path; one row is broadcast
+    for _ in range(20):
+        [(J, detunings, _, w)] = _detuning_groups(random_config(rng, n_max=12))
+        ts = rng.uniform(0.0, 5.0, size=int(rng.integers(1, 3 * _KERNEL_BLOCK // w.size)))
+        gathered = kernel(J, detunings, np.vstack([w, w]),
+                          rng.integers(0, 2, size=ts.size), ts)
+        broadcast = kernel(J, detunings, w, np.broadcast_to(np.intp(0), ts.shape), ts)
+        assert np.array(broadcast).tobytes() == np.array(gathered).tobytes()
 
 
 def test_peak_sweeps_and_oracle_check_start_no_thread(monkeypatch, tmp_path, thread_starts,

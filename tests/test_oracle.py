@@ -95,6 +95,29 @@ class TestHamiltonian:
                 1e-12 * np.abs(H).max()
 
 
+def bit_loop_magnetizations(n1, n2):
+    """m1, m2 read off the bits of every bath basis index (bit set = spin down)."""
+    idx = np.arange(2 ** (n1 + n2))
+    down1 = np.zeros_like(idx)
+    down2 = np.zeros_like(idx)
+    for bit in range(n1 + n2):
+        # bit 0 is the last site in the kron ordering (bath-2 end)
+        v = (idx >> bit) & 1
+        if n1 + n2 - 1 - bit < n1:
+            down1 += v
+        else:
+            down2 += v
+    return n1 / 2.0 - down1, n2 / 2.0 - down2
+
+
+def test_bath_magnetizations_match_the_bit_loop():
+    for n1 in range(13):
+        for n2 in range(13 - n1):
+            for m, witness in zip(_bath_magnetizations(n1, n2),
+                                  bit_loop_magnetizations(n1, n2)):
+                assert m.dtype == witness.dtype and m.tobytes() == witness.tobytes()
+
+
 class TestEnsemble:
     def test_probabilities_sum_to_one(self, rng):
         for _ in range(10):

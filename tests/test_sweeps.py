@@ -58,6 +58,11 @@ class TestMaxOverTime:
         t_star, p_star = max_over_time(cfg, window)
         assert window.t_min <= t_star <= window.t_max
         assert p_star == pytest.approx(p12(cfg, t_star), abs=1e-15)
+        if t_star in (window.t_min, window.t_max):
+            # no peak inside: the better end, with the bits of a scalar p12 at each end
+            p_min, p_max = p12(cfg, window.t_min), p12(cfg, window.t_max)
+            best = (window.t_min, p_min) if p_min >= p_max else (window.t_max, p_max)
+            assert (t_star, p_star) == best
         # gamma1 = gamma2 = 0: the thermal twin has the same single-detuning curve
         twin = max_over_time(replace(cfg, thermal=ThermalSpec.kelvin(300.0)), window)
         assert p_star == pytest.approx(twin[1], abs=1e-12)
