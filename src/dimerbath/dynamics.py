@@ -162,15 +162,15 @@ def _allowed_cpus() -> int:
 
 
 def _rabi_average_paired(J: float, detunings: np.ndarray, weights: np.ndarray,
-                        rows: np.ndarray, t: np.ndarray) -> np.ndarray:
+                        rows: np.ndarray, t: np.ndarray, threaded: bool = False) -> np.ndarray:
     """sum_k weights[rows[i], k] K(t[i], D_k) for every i, each at its own time.
 
     K(t, D) = J^2/(J^2 + D^2) * sin^2(t sqrt(J^2 + D^2)).  The time axis is
     cut into blocks of _KERNEL_BLOCK // K times, each evaluated in place;
-    two or more blocks run in order on a pool made for the call, one thread
-    per allowed CPU at most.  One weight row is broadcast, not gathered.
-    Each value is the pairwise sum of its own contiguous row, so it depends
-    on neither the other entries of t nor the threads.
+    threaded (p12's curves), two or more blocks run in order on a pool made
+    for the call, one thread per allowed CPU at most; the peak engine stays
+    serial.  One weight row is broadcast, not gathered.  Each value is the
+    pairwise sum of its own row, so it depends on neither other t nor threads.
     """
     omega2 = J * J + detunings * detunings
     # J^2 + D^2 underflows to 0 only where P = sin^2(|J| t) does too
@@ -189,7 +189,7 @@ def _rabi_average_paired(J: float, detunings: np.ndarray, weights: np.ndarray,
         out[block] = K.sum(axis=-1)
 
     starts = range(0, t.size, step)
-    workers = min(len(starts), _allowed_cpus()) if len(starts) > 1 else 1
+    workers = min(len(starts), _allowed_cpus()) if threaded and len(starts) > 1 else 1
     if workers < 2:
         for lo in starts:
             run(lo)
@@ -383,7 +383,7 @@ def p12(config: SystemConfig, t):
     t = np.asarray(t, dtype=float)
     times = t.ravel()
     p = _rabi_average_paired(J, detunings, w, np.broadcast_to(np.intp(0), times.shape),
-                             times).reshape(t.shape)
+                             times, threaded=True).reshape(t.shape)
     return float(p) if p.ndim == 0 else p
 
 

@@ -12,7 +12,7 @@ from dimerbath import (GroundStateBranch, ThermalSpec, TimeWindow,
                        assistance_condition, config_to_dict, correlated_ground_state,
                        delta0_correlated, dynamics, p12, p12_correlated_zero_temp,
                        p12_thermal, p12_thermal_jm, p12_zero_temp, q_threshold,
-                       rabi_probability, resonance_gamma, sweep, thermal_weights)
+                       rabi_probability, resonance_gamma, sweep, sweeps, thermal_weights)
 from dimerbath.cli import main
 from dimerbath.dynamics import (_KERNEL_BLOCK, _detuning_groups, _rabi_average_paired,
                                 _rabi_slopes, _sector_arrays)
@@ -558,4 +558,30 @@ def test_peak_sweeps_and_oracle_check_start_no_thread(monkeypatch, tmp_path, thr
     path.write_text(json.dumps(config_to_dict(finite)))
     assert main(["oracle-check", "--config", str(path), "--n1", "3", "--n2", "3",
                  "--points", "50"]) == 0
+    assert thread_starts == [] and executors == []
+
+
+def test_peak_engine_stays_serial_past_one_block(monkeypatch, thread_starts, executors):
+    # a pool per golden-section probe slowed a large-N sweep, so no peak-engine
+    # kernel call builds one, however many blocks it holds
+    _allow_cpus(monkeypatch, 4)
+    blocks, kernel = [], sweeps._rabi_average_paired
+
+    def spy(J, detunings, weights, rows, t, **kwargs):
+        blocks.append(-(-t.size // max(1, _KERNEL_BLOCK // detunings.size)))
+        return kernel(J, detunings, weights, rows, t, **kwargs)
+    monkeypatch.setattr(sweeps, "_rabi_average_paired", spy)
+    # 41 x 41 cells share one detuning set: their P* is one call of 4 blocks
+    shared = make_config(N1=22, N2=20, gamma1=1.0, gamma2=1.0,
+                         thermal=ThermalSpec.kelvin(300.0))
+    sweep(shared, [("temperature", np.linspace(20.0, 400.0, 41)),
+                   ("q", np.linspace(0.0, 40.0, 41))])
+    assert blocks == [4]
+    # ~40 000 detunings make a block one time; the rows' peaks lie at the
+    # window's end, so every golden-section probe spans several blocks
+    large = make_config(N1=200, N2=198, gamma1=1.0, gamma2=math.sqrt(0.5), q=1.0,
+                        thermal=ThermalSpec.kelvin(300.0))
+    sweep(large, [("temperature", [77.0, 150.0, 300.0, 500.0])],
+          TimeWindow(t_max=0.05, coarse_steps=200))
+    assert sum(b > 1 for b in blocks[1:]) > 10
     assert thread_starts == [] and executors == []
