@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .config import (ConfigValidationError, SystemConfig, config_to_dict,
-                     load_config)
+                     load_config, validated)
 from .dynamics import (_ground_branch, assistance_condition, p12,
                        p12_correlated_zero_temp, p12_thermal, p12_zero_temp,
                        q_threshold, resonance_gamma)
@@ -114,6 +115,18 @@ def _parse_axis(spec: str):
     return name, np.linspace(lo, hi, count)
 
 
+def _check_options(*checks):
+    """Raise the message of every failed (ok, message) check, before any work."""
+    errors = [message for ok, message in checks if not ok]
+    if errors:
+        raise ConfigValidationError(errors)
+
+
+def _finite(args, option: str):
+    value = getattr(args, option[2:].replace("-", "_"))
+    return math.isfinite(value), f"{option} must be finite, got {value}"
+
+
 def _window_from_args(args) -> TimeWindow:
     return TimeWindow(t_min=args.t_min, t_max=args.t_max, coarse_steps=args.steps)
 
@@ -126,6 +139,7 @@ def _add_window_args(p):
 
 def _curve_command(args) -> int:
     started = time.monotonic()
+    _check_options(_finite(args, "--t-min"), _finite(args, "--t-max"))
     config = load_config(args.config)
     ts = np.linspace(args.t_min, args.t_max, args.steps)
     ps = np.asarray(args.evaluate(config, ts))
@@ -212,13 +226,16 @@ def cmd_ground_state(args) -> int:
 
 def cmd_oracle_check(args) -> int:
     started = time.monotonic()
-    if args.points < 1:
-        raise ConfigValidationError([f"--points must be >= 1, got {args.points}"])
+    _check_options((args.points >= 1, f"--points must be >= 1, got {args.points}"),
+                   _finite(args, "--t-max"),
+                   (0.0 <= args.tol < math.inf,
+                    f"--tol must be finite and >= 0, got {args.tol}"))
     config = load_config(args.config)
     if args.n1 is not None:
         config = replace(config, bath1=replace(config.bath1, N=args.n1))
     if args.n2 is not None:
         config = replace(config, bath2=replace(config.bath2, N=args.n2))
+    validated(config)
     ts = np.linspace(0.0, args.t_max, args.points)
     analytic = np.asarray(p12(config, ts))
     numeric = np.asarray(evolve_probability(config, ts))

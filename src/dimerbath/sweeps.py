@@ -77,41 +77,37 @@ def _zero_temp_peak(config: SystemConfig, window: TimeWindow) -> tuple[float, fl
     return (window.t_min, p_min) if p_min >= p_max else (window.t_max, p_max)
 
 
-def _golden_max(f, a: np.ndarray, b: np.ndarray, iterations: int,
-                retire) -> tuple[np.ndarray, np.ndarray]:
+def _golden_max(f, a: np.ndarray, b: np.ndarray,
+                iterations: int) -> tuple[np.ndarray, np.ndarray]:
     """Golden-section search on every bracket [a_i, b_i] at once.
 
-    f maps the times of the live brackets, in order, to their values.
-    Each bracket follows exactly the steps of a scalar search on its own.
-    After every step retire(c, d, fc, fd, width) gets the live brackets'
-    state and marks those that can no longer matter; they stop with their
-    best point so far.  Returns the best point and value of every bracket.
+    f maps the times of all brackets, in order, to their values.  Each
+    bracket follows exactly the steps of a scalar search on its own and
+    keeps its best point from the step at which its width is first at
+    most _STEP_ULPS ulp, or from its last step at the `iterations` cap.
+    Returns the best point and value of every bracket.
     """
-    t_out, p_out = np.empty(a.size), np.empty(a.size)
-    live = np.arange(a.size)
-
-    def settle(sel):
-        left = fc[sel] > fd[sel]
-        t_out[live[sel]] = np.where(left, c[sel], d[sel])
-        p_out[live[sel]] = np.where(left, fc[sel], fd[sel])
-
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(iterations):
-        left = fc > fd
+    left = fc > fd
+    t_out, p_out = np.where(left, c, d), np.where(left, fc, fd)
+    live = np.ones(a.size, dtype=bool)
+    for i in range(iterations):
         a, b = np.where(left, a, c), np.where(left, d, b)
         h = _INV_PHI * (b - a)
         x = np.where(left, b - h, a + h)
         fx = f(x)
         c, d = np.where(left, x, d), np.where(left, c, x)
         fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
-        stop = retire(c, d, fc, fd, b - a)
+        left = fc > fd
+        stop = live & (_converged(b - a, c) | (i + 1 == iterations))
         if stop.any():
-            settle(stop)
-            keep = ~stop
-            a, b, c, d, fc, fd, live = (v[keep] for v in (a, b, c, d, fc, fd, live))
-    settle(slice(None))
+            t_out = np.where(stop, np.where(left, c, d), t_out)
+            p_out = np.where(stop, np.where(left, fc, fd), p_out)
+            live &= ~stop
+            if not live.any():
+                break
     return t_out, p_out
 
 
@@ -120,7 +116,7 @@ _BOUND_SLACK = 1e-12
 # a refinement ends once its step or bracket is at most this many ulp of t
 _STEP_ULPS = 4
 # cap on the Newton (or golden) steps of one refinement, far above the
-# handful it takes to reach _STEP_ULPS; 0 keeps the coarse samples
+# handful it takes to reach _STEP_ULPS; only a cap, not a mode
 _REFINE_ITERATIONS = 60
 
 
@@ -241,28 +237,17 @@ def _group_peaks(J: float, detunings: np.ndarray, weights: np.ndarray,
     p = _rabi_scan(J, detunings, weights, window.t_min, dt, window.coarse_steps)
     n = len(p)
     i_best = p.argmax(axis=1)
-    rows = np.empty(0, dtype=np.intp)
-    t_ref = np.empty(0)
-    if _REFINE_ITERATIONS > 0:
-        rows, cols = _candidates(J, omega, weights, p, p[np.arange(n), i_best],
-                                 dt, _scan_tolerance(J, window))
-        t_ref = _refine(J, detunings, weights, rows, ts[cols], dt, window)
-
-    # rows is sorted and, when refining, every row has a candidate: its best sample
-    p_all = _rabi_average_paired(J, detunings, weights,
-                                 np.concatenate([rows, np.arange(n)]),
-                                 np.concatenate([t_ref, ts[i_best]]))
-    p_ref, p_coarse = p_all[:rows.size], p_all[rows.size:]
-    peaks = []
-    bounds = np.searchsorted(rows, np.arange(n + 1))
-    for r in range(n):
-        if bounds[r] < bounds[r + 1]:
-            k = bounds[r] + int(p_ref[bounds[r]:bounds[r + 1]].argmax())
-            if p_ref[k] > p_coarse[r]:
-                peaks.append((float(t_ref[k]), float(p_ref[k])))
-                continue
-        peaks.append((float(ts[i_best[r]]), float(p_coarse[r])))
-    return peaks
+    rows, cols = _candidates(J, omega, weights, p, p[np.arange(n), i_best],
+                             dt, _scan_tolerance(J, window))
+    # every row's best sample, then its refined candidates: the stable sort
+    # keeps the first highest value, so a refined point must beat the sample
+    row = np.concatenate([np.arange(n), rows])
+    t = np.concatenate([ts[i_best], _refine(J, detunings, weights, rows, ts[cols],
+                                            dt, window)])
+    p_all = _rabi_average_paired(J, detunings, weights, row, t)
+    order = np.lexsort((-p_all, row))
+    first = order[np.searchsorted(row[order], np.arange(n))]
+    return list(zip(t[first].tolist(), p_all[first].tolist()))
 
 
 def _refine(J, detunings, weights, rows, t, dt, window) -> np.ndarray:
@@ -274,20 +259,11 @@ def _refine(J, detunings, weights, rows, t, dt, window) -> np.ndarray:
         return _rabi_slopes(J, detunings, weights, rows[live], x)
 
     out, bracketed = _newton_max(slopes, t, a, b, _REFINE_ITERATIONS)
-    if not bracketed.all():
-        rest = ~bracketed
-        live = rows[rest]
-
-        def f(x):
-            return _rabi_average_paired(J, detunings, weights, live, x)
-
-        def retire(c, d, fc, fd, width):
-            nonlocal live
-            stop = _converged(width, c)
-            live = live[~stop]
-            return stop
-
-        out[rest], _ = _golden_max(f, a[rest], b[rest], _REFINE_ITERATIONS, retire)
+    rest = ~bracketed
+    if rest.any():
+        out[rest], _ = _golden_max(
+            lambda x: _rabi_average_paired(J, detunings, weights, rows[rest], x),
+            a[rest], b[rest], _REFINE_ITERATIONS)
     return out
 
 

@@ -327,6 +327,65 @@ def test_oracle_check_rejects_empty_time_grid(config_file, capsys, monkeypatch, 
     assert calls == []
 
 
+def _no_curves(monkeypatch):
+    """Record any call of the oracle-check's two curves instead of computing it."""
+    import dimerbath.cli as cli
+    calls = []
+    monkeypatch.setattr(cli, "p12", lambda *args: calls.append("p12"))
+    monkeypatch.setattr(cli, "evolve_probability", lambda *args: calls.append("oracle"))
+    return calls
+
+
+@pytest.mark.parametrize("t_max", ["inf", "nan", "-inf"])
+def test_oracle_check_rejects_a_non_finite_window(config_file, tmp_path, capsys,
+                                                  monkeypatch, t_max):
+    calls = _no_curves(monkeypatch)
+    out = tmp_path / "check.csv"
+    assert main(["oracle-check", "--config", config_file(), "--n1", "3", "--n2", "3",
+                 f"--t-max={t_max}", "--out", str(out)]) == 2
+    assert "--t-max must be finite" in capsys.readouterr().err
+    assert calls == [] and list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf", "-0.5e-300"])
+def test_oracle_check_rejects_a_tolerance_that_is_not_finite_and_nonnegative(
+        config_file, capsys, monkeypatch, tol):
+    calls = _no_curves(monkeypatch)
+    assert main(["oracle-check", "--config", config_file(), "--n1", "3", "--n2", "3",
+                 f"--tol={tol}"]) == 2
+    assert "--tol must be finite and >= 0" in capsys.readouterr().err
+    assert calls == []
+
+
+@pytest.mark.parametrize("n1, n2, message", [
+    ("0", None, "bath1.N must be a positive integer"),
+    ("3", "-2", "bath2.N must be a positive integer"),
+])
+def test_oracle_check_validates_the_overridden_sizes(config_file, capsys, monkeypatch,
+                                                     n1, n2, message):
+    calls = _no_curves(monkeypatch)
+    argv = ["oracle-check", "--config", config_file(), "--n1", n1]
+    assert main(argv + (["--n2", n2] if n2 else [])) == 2
+    assert message in capsys.readouterr().err
+    assert calls == []
+
+
+@pytest.mark.parametrize("command, overrides", [
+    ("zero-temp", {}),
+    ("thermal", dict(zero_temperature=False, temperature_kelvin=77.0)),
+    ("correlated-zero-temp", dict(q=30.0)),
+])
+@pytest.mark.parametrize("option", ["--t-min", "--t-max"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_curve_commands_reject_a_non_finite_window(config_file, tmp_path, capsys,
+                                                   command, overrides, option, value):
+    path = config_file(**overrides)
+    out = tmp_path / "curve.csv"
+    assert main([command, "--config", path, f"{option}={value}", "--out", str(out)]) == 2
+    assert f"{option} must be finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
+
 def test_thermal_curve_rejects_zero_temperature(config_file, tmp_path, capsys):
     assert main(["thermal", "--config", config_file(),
                  "--out", str(tmp_path / "curve.csv")]) == 2

@@ -457,6 +457,8 @@ class TestNewtonEngine:
                 assert grid.values[idx] == p12_thermal(cell, grid.t_star[idx])
 
     def test_no_refinement_returns_direct_kernel_at_a_coarse_sample(self, monkeypatch):
+        # pins the tie rule: at cap 0 a Newton-refined point is its own
+        # sample, so its P equals the sample's and the sample is kept
         from dimerbath.dynamics import _rabi_average_paired
         monkeypatch.setattr(sweeps, "_REFINE_ITERATIONS", 0)
         window = TimeWindow()
@@ -484,6 +486,31 @@ class TestNewtonEngine:
                                    np.array([r + 2.0]), 60)
         assert bracketed.all()
         assert t[0] == pytest.approx(r, abs=1e-15)
+
+    def test_golden_section_is_per_bracket(self):
+        # a batched search gives every bracket the bits of its own search,
+        # though the brackets converge after different numbers of steps
+        # and the widest stops at the cap
+        from dimerbath.sweeps import _golden_max
+        peaks = np.array([0.3, 1.7, 0.05, 2.2])
+        widths = np.array([1e-9, 1e-6, 1e-5, 1.0])
+        a = peaks - widths * np.array([0.3, 0.6, 0.45, 0.7])
+        cap = 60
+
+        def search(i):
+            steps = []
+
+            def f(x):
+                steps.append(x.size)
+                return np.cos(x - peaks[i]) - (x - peaks[i]) ** 2
+            return _golden_max(f, a[i], a[i] + widths[i], cap), len(steps) - 2
+
+        batched, _ = search(slice(None))
+        singles = [search(slice(i, i + 1)) for i in range(peaks.size)]
+        np.testing.assert_array_equal(batched[0], [t[0] for (t, _), _ in singles])
+        np.testing.assert_array_equal(batched[1], [p[0] for (_, p), _ in singles])
+        steps = [n for _, n in singles]
+        assert len(set(steps)) == 4 and max(steps) == cap == steps[3]
 
     def test_window_edge_peak_takes_golden_section(self, monkeypatch):
         # P still rises at t_max, so P' has no sign change next to the
