@@ -14,8 +14,7 @@ from .dynamics import (AssistanceReport, GroundStateBranch, ResonanceSolution,
                        delta0_correlated, p12, p12_correlated_zero_temp,
                        p12_thermal, p12_thermal_jm, p12_zero_temp, q_threshold,
                        rabi_probability, resonance_gamma)
-from .oracle import (DenseHamiltonian, OracleSizeError,
-                     brute_force_bath_ground, build_hamiltonian,
-                     evolve_probability, thermal_ensemble)
+from .oracle import (OracleSizeError, brute_force_bath_ground,
+                     build_hamiltonian, evolve_probability, thermal_ensemble)
 from .sweeps import (AssistanceGain, SweepGrid, TimeWindow, assistance_gain,
                      max_over_time, sweep)

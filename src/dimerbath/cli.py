@@ -139,7 +139,10 @@ def _add_window_args(p):
 
 def _curve_command(args) -> int:
     started = time.monotonic()
-    _check_options(_finite(args, "--t-min"), _finite(args, "--t-max"))
+    _check_options(_finite(args, "--t-min"), _finite(args, "--t-max"),
+                   (not args.t_min < 0.0, f"--t-min must be >= 0, got {args.t_min}"),
+                   (not args.t_max < args.t_min,
+                    f"--t-max must be >= --t-min, got {args.t_max} < {args.t_min}"))
     config = load_config(args.config)
     ts = np.linspace(args.t_min, args.t_max, args.steps)
     ps = np.asarray(args.evaluate(config, ts))
@@ -160,8 +163,9 @@ def cmd_validate(args) -> int:
 
 def cmd_max(args) -> int:
     started = time.monotonic()
+    window = _window_from_args(args)
     config = load_config(args.config)
-    t_star, p_star = max_over_time(config, _window_from_args(args))
+    t_star, p_star = max_over_time(config, window)
     print(f"t_star = {_fmt(t_star)} ps")
     print(f"p_star = {_fmt(p_star)}")
     if args.out:
@@ -175,11 +179,12 @@ def cmd_max(args) -> int:
 
 def cmd_sweep(args) -> int:
     started = time.monotonic()
+    window = _window_from_args(args)
     config = load_config(args.config)
     axes = [_parse_axis(spec) for spec in args.axis]
     if not axes:
         raise ConfigValidationError(["at least one --axis is required"])
-    grid = sweep(config, axes, _window_from_args(args))
+    grid = sweep(config, axes, window)
     if grid.axis2_name is None:
         emit_1d_csv(args.out, grid)
     else:
@@ -228,6 +233,7 @@ def cmd_oracle_check(args) -> int:
     started = time.monotonic()
     _check_options((args.points >= 1, f"--points must be >= 1, got {args.points}"),
                    _finite(args, "--t-max"),
+                   (not args.t_max < 0.0, f"--t-max must be >= 0, got {args.t_max}"),
                    (0.0 <= args.tol < math.inf,
                     f"--tol must be finite and >= 0, got {args.tol}"))
     config = load_config(args.config)

@@ -2,21 +2,20 @@
 
 Every bath spin commutes with the Hamiltonian (the dimer-bath coupling is
 pure dephasing), so H is block-diagonal in the product basis: one real 2x2
-dimer block per bath basis state b. `evolve_probability` builds these
-blocks from bit arithmetic on b, diagonalises them numerically with
+dimer block per bath basis state b. `evolve_probability(config, t)` builds
+these blocks from bit arithmetic on b, diagonalises them numerically with
 batched `eigh` calls over memory-bounded chunks of bath states, and sums
 the exact evolution over the thermal ensemble of bath states. It reuses
 none of the collective-spin algebra: no multiplicities, no magnetization
-sectors, no merging of equal detunings and no Rabi closed form. `build_hamiltonian` assembles the full
-2^(N1+N2+1)-dimensional H spin by spin from elementary tensor products; it
-is the dense reference the block builder is tested against. The bath
-ground state is found by enumeration. Agreement with the analytic module
-is the package's keystone check.
+sectors, no merging of equal detunings and no Rabi closed form.
+`build_hamiltonian` returns the full 2^(N1+N2+1)-dimensional H as a dense
+matrix, assembled spin by spin from elementary tensor products; nothing in
+the package calls it, and it is the dense reference the block builder is
+tested against. The bath ground state is found by enumeration. Agreement
+with the analytic module is the package's keystone check.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,14 +42,6 @@ def _check_size(n1: int, n2: int, limit: int, what: str = "oracle"):
             f"{limit} spins")
 
 
-@dataclass(frozen=True)
-class DenseHamiltonian:
-    dimension: int
-    matrix: np.ndarray
-    n1: int
-    n2: int
-
-
 _SZ_HALF = np.diag([0.5, -0.5]).astype(complex)  # basis: index 0 = up
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -63,12 +54,11 @@ def _embed(site_ops: dict[int, np.ndarray], n_sites: int) -> np.ndarray:
     return out
 
 
-def build_hamiltonian(config: SystemConfig) -> DenseHamiltonian:
+def build_hamiltonian(config: SystemConfig) -> np.ndarray:
     """Full Hamiltonian, site ordering: dimer qubit, bath-1 spins, bath-2 spins."""
     n1, n2 = config.bath1.N, config.bath2.N
     _check_size(n1, n2, MAX_DENSE_BATH_SPINS, "dense Hamiltonian")
     n_sites = 1 + n1 + n2
-    dim = 2 ** n_sites
     d = config.dimer
 
     proj = {1: np.diag([1.0, 0.0]).astype(complex),
@@ -88,9 +78,7 @@ def build_hamiltonian(config: SystemConfig) -> DenseHamiltonian:
         for k in bath_sites[1]:
             for l in bath_sites[2]:
                 H += q * _embed({k: _SZ_HALF, l: _SZ_HALF}, n_sites)
-
-    assert np.abs(H - H.conj().T).max() <= 1e-13 * max(1.0, np.abs(H).max())
-    return DenseHamiltonian(dimension=dim, matrix=H, n1=n1, n2=n2)
+    return H
 
 
 def _bath_magnetizations(n1: int, n2: int):
@@ -130,15 +118,13 @@ def thermal_ensemble(config: SystemConfig) -> np.ndarray:
         config, *_bath_magnetizations(config.bath1.N, config.bath2.N))
 
 
-def _dimer_blocks(config: SystemConfig, m1: np.ndarray, m2: np.ndarray,
-                  identity_shift: float = 0.0) -> np.ndarray:
+def _dimer_blocks(config: SystemConfig, m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
     """The real 2x2 block of H for each bath configuration (m1, m2).
 
     Row/column 0 is dimer level 1, row/column 1 is level 2.
     """
     d, b1, b2 = config.dimer, config.bath1, config.bath2
-    bath = (b1.alpha * m1 + b2.alpha * m2 + config.correlation.q * m1 * m2
-            + identity_shift)
+    bath = b1.alpha * m1 + b2.alpha * m2 + config.correlation.q * m1 * m2
     blocks = np.empty(np.shape(m1) + (2, 2))
     blocks[..., 0, 0] = d.epsilon1 + b1.gamma * m1 + bath
     blocks[..., 1, 1] = d.epsilon2 + b2.gamma * m2 + bath
@@ -146,13 +132,12 @@ def _dimer_blocks(config: SystemConfig, m1: np.ndarray, m2: np.ndarray,
     return blocks
 
 
-def evolve_probability(config: SystemConfig, t, identity_shift: float = 0.0):
+def evolve_probability(config: SystemConfig, t):
     """P(level 1 -> level 2) by exact unitary evolution of the thermal ensemble.
 
     Each bath state b evolves inside its own 2x2 block; the blocks are
     diagonalised in batches of bath states, each eigendecomposition reused
-    across all time points. identity_shift adds c*I to H; the result must
-    not depend on it.
+    across all time points.
     """
     t = np.asarray(t, dtype=float)
     n1, n2 = config.bath1.N, config.bath2.N
@@ -165,7 +150,7 @@ def evolve_probability(config: SystemConfig, t, identity_shift: float = 0.0):
     for lo in range(0, probs.size, step):
         chunk = slice(lo, lo + step)
         evals, evecs = np.linalg.eigh(
-            _dimer_blocks(config, m1[chunk], m2[chunk], identity_shift))
+            _dimer_blocks(config, m1[chunk], m2[chunk]))
         # amplitude <2,b| e^{-iHt} |1,b> = sum_k V[1,k] e^{-iE_k t} V[0,k]
         # (real blocks, real eigenvectors)
         w = evecs[:, 1, :] * evecs[:, 0, :]

@@ -38,8 +38,8 @@ class TimeWindow:
     coarse_steps: int = 2000
 
     def __post_init__(self):
-        if not (0.0 <= self.t_min < self.t_max):
-            raise ValueError("need 0 <= t_min < t_max")
+        if not (0.0 <= self.t_min < self.t_max < math.inf):
+            raise ValueError("need 0 <= t_min < t_max < inf")
         if self.coarse_steps < 2:
             raise ValueError("coarse_steps must be >= 2")
 

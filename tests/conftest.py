@@ -1,10 +1,12 @@
+import math
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from dimerbath import (BathParams, CorrelationParams, DimerParams,
-                       SystemConfig, ThermalSpec)
+                       SystemConfig, ThermalSpec, multiplicity)
 
 
 def make_config(eps1=0.0, eps2=20.0, J=10.0,
@@ -17,6 +19,30 @@ def make_config(eps1=0.0, eps2=20.0, J=10.0,
         bath2=BathParams(N=N2, alpha=alpha2, gamma=gamma2),
         correlation=CorrelationParams(q=q),
         thermal=thermal if thermal is not None else ThermalSpec.zero())
+
+
+def shift_levels(config, c):
+    """The config with c added to both dimer levels: H + c*I, since the two
+    level projectors sum to the identity."""
+    d = config.dimer
+    return replace(config, dimer=replace(d, epsilon1=d.epsilon1 + c,
+                                         epsilon2=d.epsilon2 + c))
+
+
+def _log_sinh(x):
+    # log sinh(x) for x > 0 without overflow
+    return x - math.log(2.0) + math.log(-math.expm1(-2.0 * x))
+
+
+def log_z_sinh_form(N, alpha, beta):
+    """log Z of one bath in the total-spin form, for beta*alpha != 0:
+    Z = sum_j nu(N, j) sinh(b(j+1/2)) / sinh(b/2), b = |beta*alpha|."""
+    b = abs(beta * alpha)
+    terms = [math.log(multiplicity(N, two_j / 2.0))
+             + _log_sinh(b * (two_j + 1) / 2.0) - _log_sinh(b / 2.0)
+             for two_j in range(N, -1, -2)]
+    top = max(terms)
+    return top + math.log(sum(math.exp(x - top) for x in terms))
 
 
 def random_config(rng, n_max=5, zero_temp=False, q_zero=False):

@@ -370,11 +370,14 @@ def test_oracle_check_validates_the_overridden_sizes(config_file, capsys, monkey
     assert calls == []
 
 
-@pytest.mark.parametrize("command, overrides", [
+CURVE_COMMANDS = [
     ("zero-temp", {}),
     ("thermal", dict(zero_temperature=False, temperature_kelvin=77.0)),
     ("correlated-zero-temp", dict(q=30.0)),
-])
+]
+
+
+@pytest.mark.parametrize("command, overrides", CURVE_COMMANDS)
 @pytest.mark.parametrize("option", ["--t-min", "--t-max"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_curve_commands_reject_a_non_finite_window(config_file, tmp_path, capsys,
@@ -384,6 +387,63 @@ def test_curve_commands_reject_a_non_finite_window(config_file, tmp_path, capsys
     assert main([command, "--config", path, f"{option}={value}", "--out", str(out)]) == 2
     assert f"{option} must be finite" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
+
+@pytest.mark.parametrize("command, overrides", CURVE_COMMANDS)
+@pytest.mark.parametrize("t_min", ["-0.5", "-1e-300"])
+def test_curve_commands_reject_a_negative_t_min(config_file, tmp_path, capsys,
+                                                command, overrides, t_min):
+    out = tmp_path / "curve.csv"
+    assert main([command, "--config", config_file(**overrides), f"--t-min={t_min}",
+                 "--out", str(out)]) == 2
+    assert "--t-min must be >= 0" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
+
+@pytest.mark.parametrize("command, overrides", CURVE_COMMANDS)
+@pytest.mark.parametrize("t_max", ["-1", "0.5"])
+def test_curve_commands_reject_a_reversed_window(config_file, tmp_path, capsys,
+                                                 command, overrides, t_max):
+    out = tmp_path / "curve.csv"
+    assert main([command, "--config", config_file(**overrides), "--t-min", "1",
+                 f"--t-max={t_max}", "--steps", "3", "--out", str(out)]) == 2
+    assert "--t-max must be >= --t-min" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
+
+def test_one_point_curve(config_file, tmp_path):
+    from dimerbath import p12_zero_temp
+    out = tmp_path / "one.csv"
+    assert main(["zero-temp", "--config", config_file(), "--t-min", "0.5",
+                 "--t-max", "0.5", "--steps", "1", "--out", str(out)]) == 0
+    assert read_curve(out) == [(0.5, p12_zero_temp(load_config(config_file()), 0.5))]
+
+
+@pytest.mark.parametrize("t_max", ["-1", "-1e-300"])
+def test_oracle_check_rejects_a_negative_t_max(config_file, tmp_path, capsys,
+                                               monkeypatch, t_max):
+    calls = _no_curves(monkeypatch)
+    out = tmp_path / "check.csv"
+    assert main(["oracle-check", "--config", config_file(), "--n1", "3", "--n2", "3",
+                 f"--t-max={t_max}", "--out", str(out)]) == 2
+    assert "--t-max must be >= 0" in capsys.readouterr().err
+    assert calls == [] and list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
+
+@pytest.mark.parametrize("overrides", [{}, dict(zero_temperature=False,
+                                                temperature_kelvin=77.0)])
+@pytest.mark.parametrize("command", [["max"], ["sweep", "--axis", "gamma2=0:4:3"]])
+def test_peak_commands_reject_an_infinite_t_max(config_file, tmp_path, capsys,
+                                                monkeypatch, overrides, command):
+    import dimerbath.cli as cli
+    calls = []
+    monkeypatch.setattr(cli, "max_over_time", lambda *args: calls.append("max"))
+    monkeypatch.setattr(cli, "sweep", lambda *args: calls.append("sweep"))
+    out = tmp_path / "peak.csv"
+    assert main(command + ["--config", config_file(**overrides), "--t-max", "inf",
+                           "--out", str(out)]) == 2
+    assert "need 0 <= t_min < t_max < inf" in capsys.readouterr().err
+    assert calls == [] and list(tmp_path.iterdir()) == [tmp_path / "config.json"]
 
 
 def test_thermal_curve_rejects_zero_temperature(config_file, tmp_path, capsys):

@@ -7,7 +7,7 @@ from dimerbath import (ThermalSpec, log_partition_function,
                        magnetization_counts, multiplicity, multiplicity_table,
                        thermal_weights)
 from dimerbath.combinatorics import _log_weight_rows
-from conftest import make_config
+from conftest import log_z_sinh_form, make_config
 
 
 def brute_force_spin_multiplicities(N):
@@ -87,7 +87,7 @@ def test_magnetization_counts_small():
     assert sum(magnetization_counts(22).values()) == 2 ** 22
 
 
-@pytest.mark.parametrize("N", [1, 2, 3, 8, 15])
+@pytest.mark.parametrize("N", range(1, 25))
 def test_magnetization_counts_symmetric_and_cumulative(N):
     table = multiplicity_table(N)
     for m, gm in table.g.items():
@@ -115,9 +115,21 @@ def test_partition_function_two_spins_enumeration():
 @pytest.mark.parametrize("N", [1, 2, 4, 8, 12, 16, 20, 24])
 @pytest.mark.parametrize("ba", [1e-6, 1e-3, 0.1, 1.0, 5.0, 24.8, 50.0])
 def test_partition_function_internal_consistency(N, ba):
-    # raises internally if the sinh and direct-sum forms disagree > 1e-10
-    log_partition_function(N, ba, 1.0)
-    log_partition_function(N, -ba, 1.0)
+    # the direct magnetization sum against the total-spin sinh form
+    for alpha in (ba, -ba):
+        direct = log_partition_function(N, alpha, 1.0)
+        assert abs(log_z_sinh_form(N, alpha, 1.0) - direct) <= \
+            1e-10 * max(1.0, abs(direct))
+
+
+@pytest.mark.parametrize("alpha, beta", [(1.0, math.nan), (math.inf, 1.0),
+                                         (1.0, math.inf), (math.nan, 1.0),
+                                         (-math.inf, 0.5), (math.inf, 0.0),
+                                         (1e200, 1e200)])
+def test_partition_function_rejects_non_finite_input(alpha, beta):
+    # (1e200, 1e200): the product beta*alpha overflows
+    with pytest.raises(ValueError, match="finite"):
+        log_partition_function(4, alpha, beta)
 
 
 def test_partition_function_extreme_regime_no_overflow():

@@ -9,17 +9,17 @@ from dimerbath import (OracleSizeError, ThermalSpec, brute_force_bath_ground,
                        evolve_probability, oracle, p12_thermal, q_threshold,
                        rabi_probability, thermal_ensemble)
 from dimerbath.oracle import _bath_magnetizations, _dimer_blocks
-from conftest import make_config, random_config
+from conftest import make_config, random_config, shift_levels
 
 
 def small_random_config(rng, **kwargs):
     return random_config(rng, n_max=3, **kwargs)
 
 
-def dense_evolution(cfg, ts, identity_shift=0.0):
-    """P(1 -> 2) from one eigh of the full Kronecker-built Hamiltonian."""
-    H = build_hamiltonian(cfg).matrix
-    H = H + identity_shift * np.eye(H.shape[0])
+def dense_evolution(cfg, ts, shift=0.0):
+    """P(1 -> 2) from one eigh of the full Kronecker-built Hamiltonian + shift*I."""
+    H = build_hamiltonian(cfg)
+    H = H + shift * np.eye(H.shape[0])
     evals, evecs = np.linalg.eigh(H)
     nbath = H.shape[0] // 2
     # global index = dimer_bit * nbath + bath_index; dimer bit 0 = level 1
@@ -32,8 +32,7 @@ class TestHamiltonian:
     def test_decoupled_spectrum_contains_dimer_levels(self):
         cfg = make_config(eps1=0, eps2=20, J=10.0, N1=1, alpha1=0.0, gamma1=0.0,
                           N2=1, alpha2=0.0, gamma2=0.0)
-        ham = build_hamiltonian(cfg)
-        evals = np.linalg.eigvalsh(ham.matrix)
+        evals = np.linalg.eigvalsh(build_hamiltonian(cfg))
         mid, split = 10.0, math.sqrt(100.0 + 100.0)
         for expected in (mid - split, mid + split):
             assert np.abs(evals - expected).min() < 1e-10
@@ -44,7 +43,7 @@ class TestHamiltonian:
         eps1, eps2, J, a2, g2 = 1.0, 9.0, 4.0, 3.0, 5.0
         cfg = make_config(eps1=eps1, eps2=eps2, J=J, N1=1, alpha1=0.0,
                           gamma1=0.0, N2=1, alpha2=a2, gamma2=g2)
-        evals = np.sort(np.linalg.eigvalsh(build_hamiltonian(cfg).matrix))
+        evals = np.sort(np.linalg.eigvalsh(build_hamiltonian(cfg)))
         expected = []
         for mz in (0.5, -0.5):
             block = np.array([[eps1 + a2 * mz, J],
@@ -57,13 +56,13 @@ class TestHamiltonian:
     def test_hermitian_for_random_configs(self, rng):
         for _ in range(20):
             cfg = small_random_config(rng)
-            H = build_hamiltonian(cfg).matrix
+            H = build_hamiltonian(cfg)
             assert np.abs(H - H.conj().T).max() <= 1e-13 * max(1, np.abs(H).max())
 
     def test_preserves_bath_configuration(self, rng):
         # H never moves amplitude between bath z-configurations
         cfg = small_random_config(rng)
-        H = build_hamiltonian(cfg).matrix
+        H = build_hamiltonian(cfg)
         nbath = H.shape[0] // 2
         for _ in range(10):
             col = int(rng.integers(0, H.shape[0]))
@@ -80,7 +79,7 @@ class TestHamiltonian:
     def test_dense_hamiltonian_is_block_diagonal_with_the_built_blocks(self, rng):
         for _ in range(20):
             cfg = random_config(rng, n_max=4)
-            H = build_hamiltonian(cfg).matrix
+            H = build_hamiltonian(cfg)
             nbath = H.shape[0] // 2
             bath = np.arange(H.shape[0]) % nbath
             assert np.all(H[bath[:, None] != bath[None, :]] == 0)
@@ -158,13 +157,13 @@ class TestEvolution:
         base = evolve_probability(cfg, ts)
         for shift in (-137.0, 55.5, 1e4):
             np.testing.assert_allclose(
-                evolve_probability(cfg, ts, identity_shift=shift),
+                evolve_probability(shift_levels(cfg, shift), ts),
                 base, atol=1e-10)
 
     def test_probability_conserved(self, rng):
         # amplitude staying on level 1 plus amplitude reaching level 2 is unity
         cfg = small_random_config(rng)
-        H = build_hamiltonian(cfg).matrix
+        H = build_hamiltonian(cfg)
         evals, evecs = np.linalg.eigh(H)
         nbath = H.shape[0] // 2
         for t in (0.0, 0.3, 1.7):
@@ -185,8 +184,8 @@ class TestBlockEvolution:
         for _ in range(6):
             cfg = random_config(rng, n_max=4, zero_temp=zero_temp)
             np.testing.assert_allclose(
-                evolve_probability(cfg, ts, identity_shift=shift),
-                dense_evolution(cfg, ts, identity_shift=shift), rtol=0,
+                evolve_probability(shift_levels(cfg, shift), ts),
+                dense_evolution(cfg, ts, shift), rtol=0,
                 atol=1e-10)
 
     @pytest.mark.parametrize("n1, n2", [(12, 4), (4, 12)])

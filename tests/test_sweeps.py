@@ -103,6 +103,11 @@ class TestMaxOverTime:
         with pytest.raises(ValueError):
             TimeWindow(coarse_steps=1)
 
+    @pytest.mark.parametrize("t_min", [0.0, 1.0])
+    def test_window_rejects_an_infinite_t_max(self, t_min):
+        with pytest.raises(ValueError, match="< inf"):
+            TimeWindow(t_min=t_min, t_max=math.inf)
+
 
 class TestSweep:
     def test_single_point_equals_max_over_time(self):
