@@ -8,6 +8,7 @@ Every produced file gets a JSON manifest sibling; runs are deterministic
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -35,21 +36,123 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-# rows formatted per write of _emit_csv; bounds its string buffers
-_CSV_CHUNK = 512
+# rows formatted per write of _emit_csv; bounds its byte buffers
+_CSV_CHUNK = 1024
+
+# bytes per field: the longest %.17g string (24, "-2.2250738585072014e-308"),
+# then the separator; unused bytes stay NUL and are dropped on output
+_FIELD = 25
+
+# _DECADES[k] is the double nearest 10**(k-4); for k < 4 it lies above
+# 10**(k-4), so |x| >= _DECADES[k] exactly when |x| >= 10**(k-4)
+_DECADES = np.array([float(f"1e{k}") for k in range(-4, 16)])
+
+
+def _veltkamp(a):
+    """a = hi + lo exactly, each part with at most 26 significant bits."""
+    c = 134217729.0 * a  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_POW10 = 10.0 ** np.arange(21)  # every 10**k with k <= 22 is an exact double
+_POW10_HI, _POW10_LO = _veltkamp(_POW10)
+
+
+@functools.cache
+def _digit_groups():
+    """The four ASCII digits of 0..9999 per uint32, then the same with
+    trailing zeros as NUL."""
+    n = np.arange(10000, dtype=np.uint16)[:, None]
+    digits = (n // np.array([1000, 100, 10, 1], np.uint16) % 10).astype(np.uint8) + ord("0")
+    trailing = n % np.array([10000, 1000, 100, 10], np.uint16) == 0
+    table = np.concatenate([digits, digits * ~trailing])
+    return table.view(np.uint32).ravel()
+
+
+def _csv_bytes(block):
+    """The rows of a 2-D float64 block, each value as '%.17g' % value writes
+    it, comma-separated and newline-ended, as one uint8 array.
+
+    Every |x| in [1e-4, 1e16) has a decimal exponent X in [-4, 15], so
+    %.17g writes it in fixed notation from D, the 17-digit integer nearest
+    |x|*10**(16-X) (ties to even), with the point after digit X and trailing
+    zeros dropped.  x*10**(16-X) is formed exactly as hi + lo (Dekker's
+    TwoProduct), so D = hi + rint(lo) is correctly rounded.  D never rounds
+    up to 10**17: the double below 10**(X+1) is more than 5 units of D away.
+    Every other value goes through '%.17g' % value."""
+    rows, cols = block.shape
+    v = block.ravel()
+    a = np.abs(v)
+    fast = (a >= 1e-4) & (a < 1e16)
+    x = np.where(fast, a, 1.0)
+    e = (_DECADES.searchsorted(x, side="right") - 1).astype(np.int8)  # X + 4
+    order = e.argsort(kind="stable")  # each exponent's fields in one run
+    x, e = x.take(order), e.take(order)
+    k = 20 - e
+    hi = x * _POW10.take(k)
+    x_hi, x_lo = _veltkamp(x)
+    p_hi, p_lo = _POW10_HI.take(k), _POW10_LO.take(k)
+    lo = ((x_hi * p_hi - hi) + x_hi * p_lo + x_lo * p_hi) + x_lo * p_lo
+    D = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    high = D // 10 ** 8
+    low = D - high * 10 ** 8
+    top = high // 10 ** 8  # D's leading digit
+    high -= top * 10 ** 8
+    quads = []  # D's other 16 digits, four per group
+    for half in (high, low):
+        q = half // 10 ** 4
+        quads += [q, half - q * 10 ** 4]
+    # a group's trailing zeros are NUL when every later group is zero
+    table = _digit_groups()
+    g = np.empty((len(x), 5), np.uint32)
+    zero_after = np.ones(len(x), bool)
+    for i in range(3, -1, -1):
+        g[:, i + 1] = table.take(quads[i] + 10000 * zero_after)
+        zero_after &= quads[i] == 0
+    g[:, 0] = table.take(top)  # "000d": the leading zeros are cut off below
+    d = g.view(np.uint8)[:, 3:]  # the 17 digits
+    s = np.zeros((len(x), _FIELD), np.uint8)
+    bounds = e.searchsorted(np.arange(21, dtype=np.int8)).tolist()
+    for X in range(-4, 16):
+        f, dx = s[bounds[X + 4]:bounds[X + 5]], d[bounds[X + 4]:bounds[X + 5]]
+        if not len(f):
+            continue
+        if X >= 0:  # digits 0..X, the point unless no fraction is left, the rest
+            f[:, 1:X + 2] = dx[:, :X + 1] | ord("0")
+            f[:, X + 2] = (dx[:, X + 1] != 0) * ord(".")
+            f[:, X + 3:19] = dx[:, X + 1:]
+        else:  # "0.", -X-1 zeros, the digits
+            f[:, 1:2 - X] = ord("0")
+            f[:, 2] = ord(".")
+            f[:, 2 - X:19 - X] = dx
+    out = np.empty_like(s)
+    field = np.dtype((np.void, _FIELD))
+    out.view(field).ravel()[order] = s.view(field).ravel()
+    out[:, 0] = (v < 0) * ord("-")
+    slow = np.flatnonzero(~fast)
+    if len(slow):
+        text = np.zeros((len(slow), _FIELD), np.uint8)
+        text[:, :-1] = np.array(["%.17g" % y for y in v[slow].tolist()],
+                                dtype=f"S{_FIELD - 1}").view(np.uint8).reshape(-1, _FIELD - 1)
+        out[slow] = text
+    seps = out.reshape(rows, cols, _FIELD)
+    seps[:, :, -1] = ord(",")
+    seps[:, -1, -1] = ord("\n")
+    return out[out != 0]
 
 
 def _emit_csv(path: str, header: str, columns):
     """The header line, then one row per index of the columns, up to the
-    shortest, each value as _fmt gives it, one chunk of rows per write."""
+    shortest, each value byte for byte as C's %.17g writes it, in writes of
+    at most _CSV_CHUNK rows."""
     n = min(len(c) for c in columns)
-    line = ",".join(["%.17g"] * len(columns)) + "\n"
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
         for lo in range(0, n, _CSV_CHUNK):
             hi = min(n, lo + _CSV_CHUNK)
-            chunk = np.column_stack([c[lo:hi] for c in columns])
-            fh.write((line * len(chunk)) % tuple(chunk.ravel().tolist()))
+            fh.write(_csv_bytes(np.column_stack(
+                [c[lo:hi] for c in columns]).astype(np.float64, copy=False)))
 
 
 def emit_curve_csv(path: str, ts, ps):
@@ -127,6 +230,16 @@ def _finite(args, option: str):
     return math.isfinite(value), f"{option} must be finite, got {value}"
 
 
+def _writable_out(args):
+    """--out, when given, names a file in a directory that exists and can be written."""
+    if args.out is None:
+        return True, ""
+    folder = os.path.dirname(args.out) or "."
+    ok = (os.path.isdir(folder) and os.access(folder, os.W_OK | os.X_OK)
+          and not os.path.isdir(args.out))
+    return ok, f"--out must be a file in an existing, writable directory, got {args.out}"
+
+
 def _window_from_args(args) -> TimeWindow:
     return TimeWindow(t_min=args.t_min, t_max=args.t_max, coarse_steps=args.steps)
 
@@ -142,7 +255,9 @@ def _curve_command(args) -> int:
     _check_options(_finite(args, "--t-min"), _finite(args, "--t-max"),
                    (not args.t_min < 0.0, f"--t-min must be >= 0, got {args.t_min}"),
                    (not args.t_max < args.t_min,
-                    f"--t-max must be >= --t-min, got {args.t_max} < {args.t_min}"))
+                    f"--t-max must be >= --t-min, got {args.t_max} < {args.t_min}"),
+                   (args.steps >= 0, f"--steps must be >= 0, got {args.steps}"),
+                   _writable_out(args))
     config = load_config(args.config)
     ts = np.linspace(args.t_min, args.t_max, args.steps)
     ps = np.asarray(args.evaluate(config, ts))
@@ -163,6 +278,7 @@ def cmd_validate(args) -> int:
 
 def cmd_max(args) -> int:
     started = time.monotonic()
+    _check_options(_writable_out(args))
     window = _window_from_args(args)
     config = load_config(args.config)
     t_star, p_star = max_over_time(config, window)
@@ -179,6 +295,7 @@ def cmd_max(args) -> int:
 
 def cmd_sweep(args) -> int:
     started = time.monotonic()
+    _check_options(_writable_out(args))
     window = _window_from_args(args)
     config = load_config(args.config)
     axes = [_parse_axis(spec) for spec in args.axis]
@@ -235,7 +352,8 @@ def cmd_oracle_check(args) -> int:
                    _finite(args, "--t-max"),
                    (not args.t_max < 0.0, f"--t-max must be >= 0, got {args.t_max}"),
                    (0.0 <= args.tol < math.inf,
-                    f"--tol must be finite and >= 0, got {args.tol}"))
+                    f"--tol must be finite and >= 0, got {args.tol}"),
+                   _writable_out(args))
     config = load_config(args.config)
     if args.n1 is not None:
         config = replace(config, bath1=replace(config.bath1, N=args.n1))

@@ -213,6 +213,62 @@ def test_curve_csv_bytes_equal_the_per_line_writer(tmp_path):
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
+def _witness_values(rng):
+    """Doubles at the edges of %.17g's rounding, in random order."""
+    bits = rng.integers(0, 2 ** 64, 20000, dtype=np.uint64).view(np.float64)
+    moderate = rng.standard_normal(20000) * 10.0 ** rng.uniform(-5.0, 17.0, 20000)
+    powers = np.array([float(f"1e{k}") for k in range(-324, 309)])
+    near = [powers]
+    for n in (1, 2):
+        near += [_step(powers, n), _step(powers, -n)]
+    ties = []  # n + c/2**m with 18 significant digits, the last a 5
+    for X in range(-4, 15):
+        m = 17 - X
+        if X >= 0:
+            n = rng.integers(10 ** X, 10 ** (X + 1), 40)
+            c = 2 * rng.integers(0, 2 ** (m - 1), 40) + 1
+            ties.append((n * 2 ** m + c) / 2.0 ** m)
+        else:
+            lo, hi = -(-2 ** m // 10 ** -X), 2 ** m // 10 ** (-X - 1)
+            ties.append((2 * rng.integers(lo // 2, hi // 2, 40) + 1) / 2.0 ** m)
+    integers = [c + np.arange(-40.0, 41.0) * np.spacing(c) for c in (2.0 ** 53, 1e16, 1e17)]
+    integers += [c + np.arange(-40.0, 41.0) for c in (2.0 ** 53, 1e16, 1e17)]
+    subnormal = rng.integers(1, 2 ** 52, 500, dtype=np.uint64).view(np.float64)
+    special = np.array([0.0, -0.0, 5e-324, 2.2250738585072014e-308,
+                        np.nextafter(0.001, 0.0), 123456789012345.125, 0.1, 1e-4,
+                        np.inf, np.nan])
+    values = np.concatenate([bits[np.isfinite(bits)], moderate, *near, *ties, *integers,
+                             subnormal, special])
+    values = np.concatenate([values, -values])
+    return values[rng.permutation(len(values))]
+
+
+def _step(x, n):
+    """x moved n ulps."""
+    for _ in range(abs(n)):
+        x = np.nextafter(x, np.copysign(np.inf, n))
+    return x
+
+
+def test_csv_writer_matches_percent_17g_on_every_rounding_edge(tmp_path):
+    import dimerbath.cli as cli
+    # log10 gives exactly -3 for the first; the second is a tie, rounded to even
+    cli._emit_csv(str(tmp_path / "w.csv"), "h",
+                  [[np.nextafter(0.001, 0.0)], [123456789012345.125]])
+    assert (tmp_path / "w.csv").read_text() == "h\n0.0009999999999999998,123456789012345.12\n"
+    values = _witness_values(np.random.default_rng(21))
+    fast = (np.abs(values) >= 1e-4) & (np.abs(values) < 1e16)
+    for cols in (2, 3):
+        rows = values[:len(values) // cols * cols].reshape(-1, cols)
+        kinds = fast[:rows.size].reshape(-1, cols)
+        assert (kinds.any(axis=1) & ~kinds.all(axis=1)).sum() > 1000  # mixed rows
+        assert len(rows) > 2 * cli._CSV_CHUNK
+        cli._emit_csv(str(tmp_path / "w.csv"), "h", list(rows.T))
+        expected = "h\n" + "".join(",".join("%.17g" % x for x in row) + "\n"
+                                   for row in rows.tolist())
+        assert (tmp_path / "w.csv").read_bytes() == expected.encode()
+
+
 def _per_value_grid_csv(path, grid):
     """A sweep CSV written one formatted value at a time."""
     f = lambda x: format(float(x), ".17g")
@@ -236,11 +292,11 @@ def _per_value_grid_csv(path, grid):
 # each case has a -0.0 row value (the stop of a descending range) and more
 # rows than one write of the CSV writer holds
 @pytest.mark.parametrize("axes", [
-    ["gamma2=-2:-0:600"],
-    ["gamma1=-0.5:-0:3", "gamma2=-2:-0:700"],
-    ["t=-1:-0:1100"],
-    ["gamma2=-2:-0:3", "t=-1:-0:700"],
-    ["t=0:1:4", "q=-600:-0:601"],
+    ["gamma2=-2:-0:1100"],
+    ["gamma1=-0.5:-0:3", "gamma2=-2:-0:1200"],
+    ["t=-1:-0:2100"],
+    ["gamma2=-2:-0:3", "t=-1:-0:1200"],
+    ["t=0:1:4", "q=-600:-0:1101"],
 ])
 def test_sweep_csv_bytes_equal_the_per_value_writer(config_file, tmp_path,
                                                      monkeypatch, axes):
@@ -455,6 +511,46 @@ def test_thermal_curve_rejects_zero_temperature(config_file, tmp_path, capsys):
 def test_unwritable_output(config_file):
     assert main(["zero-temp", "--config", config_file(),
                  "--out", "/nonexistent-dir/x.csv"]) == 2
+
+
+def _no_work(monkeypatch):
+    """Record any config load or computation a command starts."""
+    import dimerbath.cli as cli
+    calls = []
+    for name in ("load_config", "p12", "p12_zero_temp", "p12_thermal",
+                 "p12_correlated_zero_temp", "max_over_time", "sweep",
+                 "evolve_probability"):
+        monkeypatch.setattr(cli, name, lambda *args, name=name, **kw: calls.append(name))
+    return calls
+
+
+OUT_COMMANDS = [["zero-temp"], ["thermal"], ["correlated-zero-temp"], ["max"],
+                ["sweep", "--axis", "gamma2=0:4:3"],
+                ["oracle-check", "--n1", "3", "--n2", "3"]]
+
+
+@pytest.mark.parametrize("command", OUT_COMMANDS)
+@pytest.mark.parametrize("out", ["missing/x.csv", "."])
+def test_a_bad_out_fails_before_any_work(config_file, tmp_path, capsys, monkeypatch,
+                                         command, out):
+    path = config_file()
+    calls = _no_work(monkeypatch)
+    target = str(tmp_path / out)
+    assert main(command + ["--config", path, "--out", target]) == 2
+    assert capsys.readouterr() == (
+        "", f"--out must be a file in an existing, writable directory, got {target}\n")
+    assert calls == [] and list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
+
+@pytest.mark.parametrize("command, overrides", CURVE_COMMANDS)
+def test_curve_commands_reject_negative_steps(config_file, tmp_path, capsys,
+                                              monkeypatch, command, overrides):
+    path = config_file(**overrides)
+    calls = _no_work(monkeypatch)
+    assert main([command, "--config", path, "--steps", "-3",
+                 "--out", str(tmp_path / "curve.csv")]) == 2
+    assert capsys.readouterr().err == "--steps must be >= 0, got -3\n"
+    assert calls == [] and list(tmp_path.iterdir()) == [tmp_path / "config.json"]
 
 
 @pytest.mark.parametrize("command, overrides", [
