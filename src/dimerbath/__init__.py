@@ -16,5 +16,4 @@ from .dynamics import (AssistanceReport, GroundStateBranch, ResonanceSolution,
                        rabi_probability, resonance_gamma)
 from .oracle import (OracleSizeError, brute_force_bath_ground,
                      build_hamiltonian, evolve_probability, thermal_ensemble)
-from .sweeps import (AssistanceGain, SweepGrid, TimeWindow, assistance_gain,
-                     max_over_time, sweep)
+from .sweeps import SweepGrid, TimeWindow, max_over_time, sweep

@@ -240,8 +240,16 @@ def _writable_out(args):
     return ok, f"--out must be a file in an existing, writable directory, got {args.out}"
 
 
-def _window_from_args(args) -> TimeWindow:
-    return TimeWindow(t_min=args.t_min, t_max=args.t_max, coarse_steps=args.steps)
+def _window_checks(args, peaks: bool):
+    """--t-min, --t-max and --steps, checked by name: a finite window with
+    --t-min >= 0 and --t-max >= --t-min for a curve's rows (--steps >= 0),
+    or --t-max > --t-min for a peak scan's grid (--steps >= 2)."""
+    need, got, steps = (">", "<=", 2) if peaks else (">=", "<", 0)
+    backwards = args.t_max <= args.t_min if peaks else args.t_max < args.t_min
+    return [_finite(args, "--t-min"), _finite(args, "--t-max"),
+            (not args.t_min < 0.0, f"--t-min must be >= 0, got {args.t_min}"),
+            (not backwards, f"--t-max must be {need} --t-min, got {args.t_max} {got} {args.t_min}"),
+            (args.steps >= steps, f"--steps must be >= {steps}, got {args.steps}")]
 
 
 def _add_window_args(p):
@@ -252,12 +260,7 @@ def _add_window_args(p):
 
 def _curve_command(args) -> int:
     started = time.monotonic()
-    _check_options(_finite(args, "--t-min"), _finite(args, "--t-max"),
-                   (not args.t_min < 0.0, f"--t-min must be >= 0, got {args.t_min}"),
-                   (not args.t_max < args.t_min,
-                    f"--t-max must be >= --t-min, got {args.t_max} < {args.t_min}"),
-                   (args.steps >= 0, f"--steps must be >= 0, got {args.steps}"),
-                   _writable_out(args))
+    _check_options(*_window_checks(args, peaks=False), _writable_out(args))
     config = load_config(args.config)
     ts = np.linspace(args.t_min, args.t_max, args.steps)
     ps = np.asarray(args.evaluate(config, ts))
@@ -278,8 +281,8 @@ def cmd_validate(args) -> int:
 
 def cmd_max(args) -> int:
     started = time.monotonic()
-    _check_options(_writable_out(args))
-    window = _window_from_args(args)
+    _check_options(*_window_checks(args, peaks=True), _writable_out(args))
+    window = TimeWindow(t_min=args.t_min, t_max=args.t_max, coarse_steps=args.steps)
     config = load_config(args.config)
     t_star, p_star = max_over_time(config, window)
     print(f"t_star = {_fmt(t_star)} ps")
@@ -295,12 +298,11 @@ def cmd_max(args) -> int:
 
 def cmd_sweep(args) -> int:
     started = time.monotonic()
-    _check_options(_writable_out(args))
-    window = _window_from_args(args)
+    _check_options(*_window_checks(args, peaks=True), _writable_out(args),
+                   (args.axis, "at least one --axis is required"))
+    window = TimeWindow(t_min=args.t_min, t_max=args.t_max, coarse_steps=args.steps)
     config = load_config(args.config)
     axes = [_parse_axis(spec) for spec in args.axis]
-    if not axes:
-        raise ConfigValidationError(["at least one --axis is required"])
     grid = sweep(config, axes, window)
     if grid.axis2_name is None:
         emit_1d_csv(args.out, grid)

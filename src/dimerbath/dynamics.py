@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combinatorics import _log_counts, _log_weight_rows, multiplicity, thermal_weights
+from .combinatorics import _log_counts, _log_weight_rows, multiplicity
 from .config import SystemConfig
 
 
@@ -61,16 +61,9 @@ def _detunings(gap: float, gamma1: float, gamma2: float,
 
 
 def _sector_arrays(config: SystemConfig):
-    """Flat (weights, detunings) of the bath states the config averages over.
-
-    Finite beta spans the magnetization grid; zero temperature is the one
-    ground-state corner (delta0_correlated).
-    """
-    if config.thermal.is_zero_temperature:
-        return np.ones(1), np.array([delta0_correlated(config, _ground_branch(config))])
-    tw = thermal_weights(config)
-    return (tw.normalized().ravel(),
-            _detunings(config.gap, config.bath1.gamma, config.bath2.gamma, tw.m1, tw.m2))
+    """(weights, detunings) of a zero-temperature config: weight 1 at the
+    ground-state corner's detuning (delta0_correlated)."""
+    return np.ones(1), np.array([delta0_correlated(config, _ground_branch(config))])
 
 
 # elements of one (times x detunings) block of the Rabi kernel, and of one
@@ -83,12 +76,14 @@ _KERNEL_BLOCK = 1 << 16
 def _distinct(*columns) -> tuple[np.ndarray, np.ndarray]:
     """(first cell, index) of every distinct tuple of per-cell floats.
 
-    Tuples are keyed by their float bits, so -0.0 and 0.0 stay apart and
-    every cell of a key has exactly its first cell's values.
+    Tuples are keyed by their float bits, one record each, so -0.0 and 0.0
+    stay apart and every cell of a key has exactly its first cell's values.
     """
-    keys = np.column_stack(columns).view(np.uint64)
-    _, first, of = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-    return first, of.ravel()
+    if len(columns[0]) == 1:  # one key; np.unique's set-up would cost more than the rest
+        return np.zeros(1, np.intp), np.zeros(1, np.intp)
+    keys = np.column_stack(columns).view(np.dtype((np.void, 8 * len(columns)))).ravel()
+    _, first, of = np.unique(keys, return_index=True, return_inverse=True)
+    return first, of
 
 
 def _detuning_groups(config: SystemConfig, **cells):
@@ -97,29 +92,27 @@ def _detuning_groups(config: SystemConfig, **cells):
     cells maps any of J, gamma1, gamma2, beta and q to an array of per-cell
     values, all of one length, every cell at finite temperature; the
     others take the config's own value.  With none given the config is
-    the one cell, in either regime (_sector_arrays).  P(t) depends on a
-    sector only through its detuning, so the weights of sectors that share
-    one are summed.  The weights depend on (beta, q) alone and the
-    detunings on (gamma1, gamma2) alone, so each distinct (beta, q) row
+    the one cell: a group of one at finite temperature, the ground-state
+    corner (_sector_arrays) at zero temperature.  P(t) depends on a sector
+    only through its detuning, so the weights of sectors that share one
+    are summed.  The weights depend on (beta, q) alone and the detunings on
+    (gamma1, gamma2) alone, so each distinct (beta, q) row
     (_log_weight_rows) and each distinct (J, gamma1, gamma2) detuning set
     is built once, and a group is the cells of one (J, gamma1, gamma2).
     Returns a list of (J, detunings, cells, weights): the sorted distinct
     detunings, the indices of the group's cells, and one row of merged
-    weights per cell.  A cell's detunings and weights have the bits its
-    own config gives.
+    weights per cell.  A cell's detunings and weights have the same bits
+    in any grid, alone included.
     """
-    if not cells:
+    if not cells and config.thermal.is_zero_temperature:
         w, delta = _sector_arrays(config)
-        detunings, inverse = np.unique(delta, return_inverse=True)
-        merged = np.bincount(inverse, weights=w, minlength=detunings.size)
-        return [(config.dimer.J, detunings, [0], merged[None, :])]
+        return [(config.dimer.J, delta, [0], w[None, :])]
     b1, b2 = config.bath1, config.bath2
-    n = max(np.size(v) for v in cells.values())
+    n = max((np.size(v) for v in cells.values()), default=1)
     values = {"J": config.dimer.J, "gamma1": b1.gamma, "gamma2": b2.gamma,
-              "q": config.correlation.q}
-    if "beta" not in cells:
+              "q": config.correlation.q, **cells}
+    if "beta" not in values:
         values["beta"] = config.thermal.beta
-    values.update(cells)
     J, gamma1, gamma2, beta, q = (np.full(n, values[name], dtype=float)
                                   for name in ("J", "gamma1", "gamma2", "beta", "q"))
     m1, m2 = _log_counts(b1.N)[0], _log_counts(b2.N)[0]
@@ -132,8 +125,9 @@ def _detuning_groups(config: SystemConfig, **cells):
             _detunings(config.gap, gamma1[first], gamma2[first], m1, m2),
             return_inverse=True)
         # the group's W rows, ascending, and each member's among them
-        used, slot = np.unique(row_of[members], return_inverse=True)
-        groups.append((first, members, slot.ravel(), detunings, inverse, used,
+        used = np.flatnonzero(np.bincount(row_of[members], minlength=len(rows)))
+        slot = np.searchsorted(used, row_of[members])
+        groups.append((first, members, slot, detunings, inverse, used,
                        np.empty((used.size, detunings.size))))
     # W rows in blocks of at most _KERNEL_BLOCK elements, each merged into
     # every group that uses it: row i of a block adds its sectors to bins
@@ -169,7 +163,8 @@ def _rabi_average_paired(J: float, detunings: np.ndarray, weights: np.ndarray,
     cut into blocks of _KERNEL_BLOCK // K times, each evaluated in place;
     threaded (p12's curves), two or more blocks run in order on a pool made
     for the call, one thread per allowed CPU at most; the peak engine stays
-    serial.  One weight row is broadcast, not gathered.  Each value is the
+    serial.  One weight row is broadcast, not gathered, and rows is then
+    not read (p12 and time-axis sweeps pass None).  Each value is the
     pairwise sum of its own row, so it depends on neither other t nor threads.
     """
     omega2 = J * J + detunings * detunings
@@ -371,19 +366,18 @@ def _ground_branch(config: SystemConfig) -> GroundStateBranch:
 def p12(config: SystemConfig, t):
     """Transition probability in the regime the config is in.
 
-    The Rabi curve averaged over the config's bath states (_sector_arrays),
-    with states of equal detuning merged: the thermal sectors at finite
-    temperature (q = 0 gives independent baths), the ground-state branch's
-    detuning at zero temperature (q = 0 gives both baths all-down).  One
-    kernel call (_rabi_average_paired) evaluates the whole curve, so each
-    value depends on its own t alone, whatever blocks and threads the
-    kernel cuts a long curve into.
+    The Rabi curve averaged over the config's bath states, the config a
+    group of one of _detuning_groups: its thermal sectors at finite
+    temperature (q = 0 gives independent baths), with states of equal
+    detuning merged, or the ground-state branch's detuning at zero
+    temperature (q = 0 gives both baths all-down).  One kernel call
+    (_rabi_average_paired) evaluates the whole curve, so each value
+    depends on its own t alone, whatever blocks and threads the kernel
+    cuts a long curve into.
     """
     [(J, detunings, _, w)] = _detuning_groups(config)
     t = np.asarray(t, dtype=float)
-    times = t.ravel()
-    p = _rabi_average_paired(J, detunings, w, np.broadcast_to(np.intp(0), times.shape),
-                             times, threaded=True).reshape(t.shape)
+    p = _rabi_average_paired(J, detunings, w, None, t.ravel(), threaded=True).reshape(t.shape)
     return float(p) if p.ndim == 0 else p
 
 

@@ -9,8 +9,8 @@ candidates; every reported P* is the direct kernel at its t*.  P
 factorises as K(t, D) @ W(D; beta, q) over the distinct detunings D, so a
 grid's cells are batched by detuning set, one scan per set, and each
 distinct (beta, q) weight row is built once.  Zero-temperature cells use
-the closed-form peak instead; _peaks is the one place in this module that
-tells the two regimes apart (dynamics._sector_arrays does for one curve).
+the closed-form peak instead, and a time axis gives each cell its curve;
+_cells is the one place in this module that tells the two regimes apart.
 """
 
 from __future__ import annotations
@@ -268,19 +268,10 @@ def _refine(J, detunings, weights, rows, t, dt, window) -> np.ndarray:
 
 
 # the cell fields each sweep parameter sets: a cell's J, gamma1, gamma2,
-# q and temperature, as _apply_parameter puts them on a config
+# q and temperature, as _cells and _apply_parameter put them on a cell
 _FIELDS = {"gamma1": ("gamma1",), "gamma2": ("gamma2",),
            "gamma_both": ("gamma1", "gamma2"), "q": ("q",),
            "temperature": ("temperature",), "J": ("J",)}
-
-
-def _cell_parameters(names, values) -> dict:
-    """Per-cell value of every field the axes set, flat in C order."""
-    cells = {}
-    for name, grid in zip(names, np.meshgrid(*values, indexing="ij")):
-        for field in _FIELDS[name]:
-            cells[field] = grid.ravel()
-    return cells
 
 
 def _cell_configs(config: SystemConfig, names, values):
@@ -290,28 +281,44 @@ def _cell_configs(config: SystemConfig, names, values):
         yield _apply_parameter(config, **{f: x for fs, x in zip(fields, cell) for f in fs})
 
 
-def _peaks(config: SystemConfig, names, values, window: TimeWindow):
-    """Yield (i, (t*, P*)) over the window for the i-th cell (C order) of the grid.
+def _cells(config: SystemConfig, names, values, one_config, one_group):
+    """Yield (i, result) for the i-th cell (C order) of the grid the axes span.
 
-    The grid spans the named axes around config; no axes make config the
-    one cell.  Zero-temperature cells take the closed-form peak, one config
-    at a time, so their configs are never held at once.  Finite-temperature
-    cells build no config: _detuning_groups groups them by detuning set,
-    one kernel per set, with beta from ThermalSpec.kelvin as a cell's
-    config gets it.  A cell's result does not depend on which other cells
-    come with it.
+    No axes make config the one cell.  This is the one regime test of the
+    module.  A zero-temperature cell's result is one_config(its config),
+    built one at a time.  Finite-temperature cells (a finite-T config, or
+    any under a temperature axis) build no config: _detuning_groups groups
+    the per-cell fields by detuning set, beta from ThermalSpec.kelvin as a
+    cell's config gets it, and one_group(J, detunings, weights) gives a
+    group's results, one per weight row, whatever cells come with them.
     """
     if "temperature" not in names and config.thermal.is_zero_temperature:
         for i, cfg in enumerate(_cell_configs(config, names, values)):
-            yield i, _zero_temp_peak(cfg, window)
+            yield i, one_config(cfg)
         return
-    cells = _cell_parameters(names, values)
+    cells = {field: grid.ravel() for name, grid in zip(names, np.meshgrid(*values, indexing="ij"))
+             for field in _FIELDS[name]}
     if "temperature" in cells:
-        kelvin, inverse = np.unique(cells.pop("temperature"), return_inverse=True)
         cells["beta"] = np.array([ThermalSpec.kelvin(T).beta
-                                  for T in kelvin.tolist()])[inverse.ravel()]
+                                  for T in cells.pop("temperature").tolist()])
     for J, detunings, members, weights in _detuning_groups(config, **cells):
-        yield from zip(members, _group_peaks(J, detunings, weights, window))
+        yield from zip(members, one_group(J, detunings, weights))
+
+
+def _peaks(config: SystemConfig, names, values, window: TimeWindow):
+    """(i, (t*, P*)) over the window of every cell of the grid (_cells): the
+    closed form at zero temperature, one scan per detuning set otherwise."""
+    return _cells(config, names, values, lambda cfg: _zero_temp_peak(cfg, window),
+                  lambda J, detunings, weights: _group_peaks(J, detunings, weights, window))
+
+
+def _curves(config: SystemConfig, names, values, ts: np.ndarray):
+    """(i, P at the times ts) of every cell of the grid (_cells): at finite
+    temperature its own weight row under the kernel call p12 makes for it."""
+    return _cells(config, names, values, lambda cfg: p12(cfg, ts),
+                  lambda J, detunings, weights: (
+                      _rabi_average_paired(J, detunings, w[None, :], None, ts, threaded=True)
+                      for w in weights))
 
 
 def max_over_time(config: SystemConfig,
@@ -334,8 +341,6 @@ def max_over_time(config: SystemConfig,
 
 def _apply_parameter(config: SystemConfig, **fields) -> SystemConfig:
     """config with each given cell field of _FIELDS set to its value."""
-    if not fields:
-        return config
     parts = {}
     if "J" in fields:
         parts["dimer"] = replace(config.dimer, J=fields["J"])
@@ -345,8 +350,6 @@ def _apply_parameter(config: SystemConfig, **fields) -> SystemConfig:
         parts["bath2"] = replace(config.bath2, gamma=fields["gamma2"])
     if "q" in fields:
         parts["correlation"] = replace(config.correlation, q=fields["q"])
-    if "temperature" in fields:
-        parts["thermal"] = ThermalSpec.kelvin(fields["temperature"])
     return replace(config, **parts)
 
 
@@ -378,12 +381,12 @@ def sweep(config: SystemConfig, axes, window: TimeWindow | None = None) -> Sweep
     Every axis value is validated before any cell is computed, so the
     cells are not validated again.  Cells go through the same _peaks as
     max_over_time: a cell's (t*, P*) is bit-identical to max_over_time of
-    its config, whatever the grid around it.  On a time axis each cell's
-    config, built one at a time, gets its curve from p12.
+    its config, whatever the grid around it.  On a time axis the cells
+    come from the same expansion (_curves), and each cell's curve is
+    bit-identical to p12 of its config.
     """
     validated(config)
-    if window is None:
-        window = TimeWindow()
+    window = TimeWindow() if window is None else window
     if not 1 <= len(axes) <= 2:
         raise ValueError("sweep takes one or two axes")
     names = [name for name, _ in axes]
@@ -404,10 +407,10 @@ def sweep(config: SystemConfig, axes, window: TimeWindow | None = None) -> Sweep
         ax = names.index("t")
         ts = values[ax]
         curves, times = (np.moveaxis(a, ax, -1) for a in (grid, tgrid))
-        cells = _cell_configs(config, names[:ax] + names[ax + 1:],
-                              values[:ax] + values[ax + 1:])
-        for idx, cfg in zip(np.ndindex(curves.shape[:-1]), cells):
-            curves[idx], times[idx] = p12(cfg, ts), ts
+        times[...] = ts
+        for i, curve in _curves(config, names[:ax] + names[ax + 1:],
+                                values[:ax] + values[ax + 1:], ts):
+            curves[np.unravel_index(i, curves.shape[:-1])] = curve
     else:
         for i, (t_star, p_star) in _peaks(config, names, values, window):
             tgrid.flat[i], grid.flat[i] = t_star, p_star
@@ -425,22 +428,3 @@ def sweep(config: SystemConfig, axes, window: TimeWindow | None = None) -> Sweep
         axis2_name=names[1] if len(axes) == 2 else None,
         axis2_values=values[1] if len(axes) == 2 else None,
         values=grid, t_star=tgrid, argmax=argmax)
-
-
-@dataclass(frozen=True)
-class AssistanceGain:
-    gain: float
-    coupled: tuple[float, float]    # (t*, P*)
-    decoupled: tuple[float, float]
-
-
-def assistance_gain(config: SystemConfig,
-                    window: TimeWindow | None = None) -> AssistanceGain:
-    """Peak-probability gain of the coupled config over its gamma1=gamma2=0 twin."""
-    coupled = max_over_time(config, window)
-    bare = replace(config,
-                   bath1=replace(config.bath1, gamma=0.0),
-                   bath2=replace(config.bath2, gamma=0.0))
-    decoupled = max_over_time(bare, window)
-    return AssistanceGain(gain=coupled[1] - decoupled[1],
-                          coupled=coupled, decoupled=decoupled)

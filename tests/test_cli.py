@@ -498,7 +498,34 @@ def test_peak_commands_reject_an_infinite_t_max(config_file, tmp_path, capsys,
     out = tmp_path / "peak.csv"
     assert main(command + ["--config", config_file(**overrides), "--t-max", "inf",
                            "--out", str(out)]) == 2
-    assert "need 0 <= t_min < t_max < inf" in capsys.readouterr().err
+    assert capsys.readouterr().err == "--t-max must be finite, got inf\n"
+    assert calls == [] and list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
+
+@pytest.mark.parametrize("command", [["max"], ["sweep", "--axis", "gamma2=0:4:3"],
+                                     ["sweep", "--axis", "t=0:1:3"]])
+@pytest.mark.parametrize("options, message", [
+    (["--steps", "1"], "--steps must be >= 2, got 1"),
+    (["--t-min", "nan"], "--t-min must be finite, got nan"),
+    (["--t-min", "-0.5"], "--t-min must be >= 0, got -0.5"),
+    (["--t-min", "1", "--t-max", "1"], "--t-max must be > --t-min, got 1.0 <= 1.0"),
+    (["--t-min", "1", "--t-max", "0.5"], "--t-max must be > --t-min, got 0.5 <= 1.0"),
+])
+def test_peak_commands_name_the_bad_window_option(config_file, tmp_path, capsys,
+                                                  monkeypatch, command, options, message):
+    path = config_file()
+    calls = _no_work(monkeypatch)
+    assert main(command + ["--config", path, *options, "--out", str(tmp_path / "peak.csv")]) == 2
+    assert capsys.readouterr() == ("", message + "\n")
+    assert calls == [] and list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
+
+def test_sweep_without_an_axis_fails_before_reading_the_config(config_file, tmp_path,
+                                                              capsys, monkeypatch):
+    path = config_file()
+    calls = _no_work(monkeypatch)
+    assert main(["sweep", "--config", path, "--out", str(tmp_path / "grid.csv")]) == 2
+    assert capsys.readouterr() == ("", "at least one --axis is required\n")
     assert calls == [] and list(tmp_path.iterdir()) == [tmp_path / "config.json"]
 
 

@@ -14,8 +14,8 @@ from dimerbath import (GroundStateBranch, ThermalSpec, TimeWindow,
                        p12_thermal, p12_thermal_jm, p12_zero_temp, q_threshold,
                        rabi_probability, resonance_gamma, sweep, sweeps, thermal_weights)
 from dimerbath.cli import main
-from dimerbath.dynamics import (_KERNEL_BLOCK, _detuning_groups, _rabi_average_paired,
-                                _rabi_slopes, _sector_arrays)
+from dimerbath.dynamics import (_KERNEL_BLOCK, _detuning_groups, _detunings,
+                                _rabi_average_paired, _rabi_slopes)
 from conftest import make_config, random_config
 
 BOTH_DOWN = GroundStateBranch(branch="both_down")
@@ -24,6 +24,12 @@ BOTH_DOWN = GroundStateBranch(branch="both_down")
 def sector_detuning(cfg, m1, m2):
     """Detuning of the magnetization sector (m1, m2), written out."""
     return cfg.gap + (cfg.bath2.gamma * m2 - cfg.bath1.gamma * m1) / 2.0
+
+
+def sector_detunings(cfg):
+    """The flat sector detunings over thermal_weights' (m1, m2) grid."""
+    tw = thermal_weights(cfg)
+    return _detunings(cfg.gap, cfg.bath1.gamma, cfg.bath2.gamma, tw.m1, tw.m2)
 
 
 class TestRabi:
@@ -72,27 +78,28 @@ class TestDetunings:
         assert sector_detuning(cfg, -3.5, -2.0) == delta0_correlated(cfg, BOTH_DOWN)
 
     def test_sector_arrays_cover_the_magnetization_grid(self, rng):
-        # one detuning per (m1, m2), m = -N/2, -N/2 + 1, ..., N/2, row-major
+        # one weight and one detuning per (m1, m2), m = -N/2, -N/2 + 1, ...,
+        # N/2, row-major
         for _ in range(20):
             cfg = random_config(rng)
             m1 = np.arange(-cfg.bath1.N, cfg.bath1.N + 1, 2) / 2.0
             m2 = np.arange(-cfg.bath2.N, cfg.bath2.N + 1, 2) / 2.0
-            _, delta = _sector_arrays(cfg)
-            assert delta.tolist() == [sector_detuning(cfg, float(a), float(b))
-                                      for a in m1 for b in m2]
+            tw = thermal_weights(cfg)
+            assert tw.m1.tolist() == m1.tolist() and tw.m2.tolist() == m2.tolist()
+            assert tw.normalized().shape == (m1.size, m2.size)
+            assert sector_detunings(cfg).tolist() == [sector_detuning(cfg, float(a), float(b))
+                                                      for a in m1 for b in m2]
 
     def test_sector_gamma_free(self):
         cfg = make_config(N1=4, N2=4, gamma1=0.0, gamma2=0.0,
                           thermal=ThermalSpec.kelvin(77.0))
-        _, delta = _sector_arrays(cfg)
-        assert (delta == cfg.gap).all()
+        assert (sector_detunings(cfg) == cfg.gap).all()
 
     def test_sector_hand_value(self):
         # with gamma1 = 0 the sectors (+-1/2, -10) are the compensated ones
         cfg = make_config(eps1=0, eps2=20, gamma1=0.0, gamma2=2.0, N2=20,
                           thermal=ThermalSpec.kelvin(77.0))
-        _, delta = _sector_arrays(cfg)
-        assert np.flatnonzero(delta == 0.0).tolist() == [0, 21]
+        assert np.flatnonzero(sector_detunings(cfg) == 0.0).tolist() == [0, 21]
 
 
 class TestZeroTemperature:

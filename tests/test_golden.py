@@ -44,9 +44,12 @@ _BLOCK = 1 << 16
 
 def _machine() -> dict:
     """What the bits of the outputs can depend on besides the code."""
-    from numpy._core._multiarray_umath import __cpu_features__
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}",
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {"numpy": np.__version__, "blas": f"{blas.get('name')} {blas.get('version')}",
             "machine": platform.machine(),
             "cpu_features": sorted(k for k, on in __cpu_features__.items() if on)}
 

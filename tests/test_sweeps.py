@@ -6,7 +6,7 @@ import pytest
 
 import dimerbath.sweeps as sweeps
 from dimerbath import (ConfigValidationError, ThermalSpec, TimeWindow,
-                       assistance_gain, max_over_time, p12, p12_thermal, sweep)
+                       max_over_time, p12, p12_thermal, sweep)
 from conftest import make_config
 
 
@@ -139,20 +139,38 @@ class TestSweep:
         np.testing.assert_allclose(grid.values, p12_thermal(cfg, ts), atol=0)
 
     @pytest.mark.parametrize("thermal", [ThermalSpec.zero(), ThermalSpec.kelvin(77.0)])
-    def test_two_axis_time_sweep_rows_equal_p12(self, thermal):
-        cfg = make_config(N1=4, gamma1=1.3, N2=5, gamma2=2.0, thermal=thermal)
-        ts = np.linspace(0.0, 1.3, 57)
-        qs = [0.0, 12.0, 120.0]   # both sides of q0 = 100
-        t_first = sweep(cfg, [("t", ts), ("q", qs)])
-        t_second = sweep(cfg, [("q", qs), ("t", ts)])
-        assert t_first.values.shape == (ts.size, len(qs))
-        assert t_second.values.shape == (len(qs), ts.size)
-        for j, q in enumerate(qs):
-            curve = p12(replace(cfg, correlation=replace(cfg.correlation, q=q)), ts)
-            assert (t_first.values[:, j].tobytes() == curve.tobytes()
-                    == t_second.values[j].tobytes())
-            assert (t_first.t_star[:, j].tobytes() == ts.tobytes()
-                    == t_second.t_star[j].tobytes())
+    def test_two_axis_time_sweep_rows_equal_p12(self, thermal, monkeypatch):
+        # the other axes of test_every_cell_equals_max_over_time, then curves
+        # of several kernel blocks (43 detunings a cell at finite T, one at
+        # zero T), so that the kernel's threads start
+        import threading
+        from dimerbath import dynamics
+        started = []
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda self, start=threading.Thread.start: (started.append(self),
+                                                                         start(self)))
+        cfg = make_config(N1=22, gamma1=1.3, N2=20, gamma2=1.3, thermal=thermal)
+        finite_blocks = 3 * (2 ** 16 // 43) + 7
+        q_blocks = 3 * 2 ** 16 + 7 if thermal.is_zero_temperature else finite_blocks
+        cases = [(("gamma_both", [0.0, 1.3, 2.9]), 57), (("temperature", [77.0, 300.0]), 57),
+                 (("gamma1", [0.0, -0.0, 1.3]), 57), (("gamma2", [2.9, -0.0]), 57),
+                 (("J", [3.0, -10.0]), 57), (("q", [0.0, 12.0, 120.0]), 57),
+                 (("q", [0.0, 120.0]), q_blocks), (("temperature", [77.0, 300.0]), finite_blocks)]
+        for axis, steps in cases:
+            started.clear()
+            ts = np.linspace(0.0, 1.3, steps)
+            name, values = axis
+            t_first = sweep(cfg, [("t", ts), axis])
+            t_second = sweep(cfg, [axis, ("t", ts)])
+            assert t_first.values.shape == (ts.size, len(values))
+            assert t_second.values.shape == (len(values), ts.size)
+            for j, v in enumerate(values):
+                curve = p12(_cell_config(cfg, [(name, v)]), ts)
+                assert (t_first.values[:, j].tobytes() == curve.tobytes()
+                        == t_second.values[j].tobytes())
+                assert (t_first.t_star[:, j].tobytes() == ts.tobytes()
+                        == t_second.t_star[j].tobytes())
+            assert bool(started) == (steps > 57 and dynamics._allowed_cpus() > 1)
 
     def test_gamma_both_ties_couplings(self):
         cfg = make_config(N1=4, N2=4, thermal=ThermalSpec.kelvin(77.0))
@@ -172,24 +190,6 @@ class TestSweep:
         i = grid.argmax["indices"][0]
         assert grid.values[i] == grid.argmax["p_star"]
         assert grid.values.max() == grid.argmax["p_star"]
-
-
-class TestAssistanceGain:
-    def test_decoupled_gain_is_zero(self):
-        cfg = make_config(gamma1=0.0, gamma2=0.0, thermal=ThermalSpec.kelvin(77.0))
-        assert assistance_gain(cfg).gain == 0.0
-
-    def test_resonant_zero_temp_gain(self):
-        cfg = make_config(eps1=0, eps2=20, J=10.0, gamma2=2.0, N2=20)
-        out = assistance_gain(cfg)
-        assert out.coupled[1] == 1.0
-        assert out.decoupled[1] == pytest.approx(0.5, rel=1e-14)
-        assert out.gain == pytest.approx(0.5, rel=1e-12)
-
-    def test_thermal_resonance_assists(self):
-        cfg = make_config(eps1=0, eps2=20, J=10.0, N2=20, alpha2=250.0,
-                          gamma2=2.0, thermal=ThermalSpec.kelvin(77.0))
-        assert assistance_gain(cfg).gain > 0.4
 
 
 class TestBatchedEngine:
@@ -243,9 +243,12 @@ class TestBatchedEngine:
         monkeypatch.setattr(dynamics, "_log_weight_rows", weight_rows)
         monkeypatch.setattr(dynamics, "_detunings", detunings)
         monkeypatch.setattr(sweeps, "_apply_parameter", no_config)
+        monkeypatch.setattr(dynamics, "_sector_arrays", no_config)
         window = TimeWindow(coarse_steps=400)
         hot = make_config(N1=6, gamma1=1.3, N2=5, gamma2=1.3, thermal=ThermalSpec.kelvin(77.0))
-        # (base, axes, distinct (beta, q) rows, distinct (J, gamma1, gamma2) sets)
+        ts = np.linspace(0.0, 1.0, 7)
+        # (base, axes, distinct (beta, q) rows, distinct (J, gamma1, gamma2) sets):
+        # peak sweeps, max_over_time (no axes), then time axes; p12 below
         cases = [
             (hot, [("gamma_both", [0.5, 1.0, 2.0]), ("q", [0.0, 5.0, 5.0, 30.0])], 3, 3),
             (hot, [("q", [0.0, -0.0, 30.0]), ("temperature", [77.0, 300.0])], 6, 1),
@@ -253,18 +256,30 @@ class TestBatchedEngine:
              [("temperature", [77.0, 300.0]), ("J", [3.0, 10.0])], 2, 2),
             (hot, [("gamma1", [0.0, -0.0]), ("gamma2", [0.0, 1.0, 2.0])], 1, 6),
             (hot, [("J", [3.0, 10.0, 3.0])], 1, 2),
+            (hot, [], 1, 1),
+            (hot, [("t", ts)], 1, 1),
+            (hot, [("t", ts), ("q", [0.0, -0.0, 30.0, 0.0])], 3, 1),
+            (make_config(N1=6, N2=5), [("temperature", [77.0, 300.0, 77.0]), ("t", ts)], 2, 1),
+            (hot, [("gamma_both", [0.5, 1.0, 0.5]), ("t", ts)], 1, 2),
+            (hot, [("t", ts), ("J", [3.0, -10.0])], 1, 2),
         ]
         for base, axes, n_rows, n_sets in cases:
             rows.clear()
             sets.clear()
-            sweep(base, axes, window)
+            sweep(base, axes, window) if axes else max_over_time(base, window)
             assert (len(rows), len(sets)) == (n_rows, n_sets)
             assert len({(float(b).hex(), float(q).hex()) for b, q in rows}) == n_rows
+        rows.clear()
+        sets.clear()
+        p12(hot, ts)
+        assert (len(rows), len(sets)) == (1, 1)
 
     def test_cells_get_their_own_configs_detunings_and_weights(self):
         # keys are float bits: a -0.0 coupling keeps its own signed zeros.
-        # The witness merges each cell's own sectors one config at a time.
-        from dimerbath.dynamics import _detuning_groups, _sector_arrays
+        # The witness merges each cell's own sectors one config at a time,
+        # and the cell alone is a group of one with the same bits.
+        from dimerbath import thermal_weights
+        from dimerbath.dynamics import _detuning_groups, _detunings
         base = make_config(eps1=5.0, eps2=5.0, N1=4, N2=3, thermal=ThermalSpec.from_beta(0.01))
         gamma1 = np.array([0.0, -0.0, 0.0, 1.5, -0.0, 1.5])
         gamma2 = np.array([-0.0, 0.0, 0.0, 1.5, -0.0, 0.7])
@@ -275,11 +290,16 @@ class TestBatchedEngine:
             for i, row in zip(cells, weights):
                 cell = _cell_config(base, [("gamma1", gamma1[i]), ("gamma2", gamma2[i]),
                                            ("q", q[i])])
-                w, delta = _sector_arrays(cell)
+                tw = thermal_weights(cell)
+                delta = _detunings(cell.gap, cell.bath1.gamma, cell.bath2.gamma, tw.m1, tw.m2)
                 detunings_own, inverse = np.unique(delta, return_inverse=True)
                 assert J == cell.dimer.J
                 assert detunings.tobytes() == detunings_own.tobytes()
-                assert row.tobytes() == np.bincount(inverse, weights=w).tobytes()
+                assert row.tobytes() == np.bincount(
+                    inverse, weights=tw.normalized().ravel()).tobytes()
+                [(J_alone, detunings_alone, cells_alone, [row_alone])] = _detuning_groups(cell)
+                assert (J_alone, detunings_alone.tobytes(), cells_alone, row_alone.tobytes()) == (
+                    J, detunings.tobytes(), [0], row.tobytes())
                 seen.append(i)
         assert sorted(seen) == list(range(6))
 
@@ -299,6 +319,23 @@ class TestBatchedEngine:
             tracemalloc.stop()
         assert peak < 16 * 2 ** 20
         assert np.isfinite(grid.values).all()
+
+    def test_time_sweep_memory_is_its_output(self):
+        import tracemalloc
+        # 41 q x 1e5 times: 65 MB of output grids.  One weight row and one
+        # curve at a time; index and time arrays tiled over the cells
+        # would add as much again
+        cfg = make_config(N1=6, N2=5, thermal=ThermalSpec.kelvin(77.0))
+        axes = [("q", np.linspace(0.0, 40.0, 41)), ("t", np.linspace(0.0, 2.0, 10 ** 5))]
+        tracemalloc.start()
+        try:
+            grid = sweep(cfg, axes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < grid.values.nbytes + grid.t_star.nbytes + 8 * 2 ** 20
+        assert grid.values[3].tobytes() == p12(_cell_config(cfg, [("q", axes[0][1][3])]),
+                                               axes[1][1]).tobytes()
 
     def test_refines_every_candidate_peak(self):
         # two near-equal peaks: refining only the best coarse sample polished
