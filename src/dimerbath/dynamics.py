@@ -225,6 +225,9 @@ def _rabi_scan(J: float, detunings: np.ndarray, weights: np.ndarray,
                t0: float, dt: float, steps: int) -> np.ndarray:
     """The direct kernel on the uniform grid t0 + j dt, j < steps, by angle addition.
 
+    Its callers go through _uniform_scan: the peak engine's coarse scan
+    (sweeps._group_peaks) and the CLI's curve commands.
+
     With c_k = w_k J^2/omega_k^2, P(t) = sum_k c_k/2 - sum_k c_k cos(2 omega_k t)/2.
     The grid is cut into runs of B = 2h + 1 steps around centres T_u, and
     cos(2 omega (T_u +- v dt)) = cos x cos y -+ sin x sin y with x, y the
@@ -235,7 +238,8 @@ def _rabi_scan(J: float, detunings: np.ndarray, weights: np.ndarray,
     stacked matmul makes one product per row, and the blocks depend only on
     steps and the number of detunings, so a row gives the same bits
     whatever rows it is batched with.  The result agrees with the direct
-    kernel (_rabi_average_paired) in absolute, not relative, terms.
+    kernel (_rabi_average_paired) in absolute, not relative, terms.  No
+    steps give an empty row per weight row; dt = 0 gives t0 throughout.
     """
     omega2 = J * J + detunings * detunings
     two_omega = 2.0 * np.sqrt(omega2)
@@ -250,7 +254,7 @@ def _rabi_scan(J: float, detunings: np.ndarray, weights: np.ndarray,
     # [row, cos | sin, centre, offset]
     acc = np.empty((len(c), 2, n_coarse, half + 1))
     width = max(1, _KERNEL_BLOCK // (n_coarse + half + 1))
-    batch = max(1, _KERNEL_BLOCK // (2 * n_coarse * min(width, detunings.size)))
+    batch = max(1, _KERNEL_BLOCK // max(1, 2 * n_coarse * min(width, detunings.size)))
     for lo in range(0, detunings.size, width):
         x = np.multiply.outer(centres, two_omega[lo:lo + width])
         y = np.multiply.outer(two_omega[lo:lo + width], offsets)
@@ -270,6 +274,22 @@ def _rabi_scan(J: float, detunings: np.ndarray, weights: np.ndarray,
     np.subtract(c.sum(axis=-1)[:, None, None], p, out=p)
     p *= 0.5
     return p.reshape(len(c), -1)[:, :steps]
+
+
+def _uniform_scan(J: float, detunings: np.ndarray, weights: np.ndarray,
+                  t_min: float, t_max: float, steps: int) -> tuple[np.ndarray, float, np.ndarray]:
+    """(ts, dt, P): the uniform grid of a window, its step and every weight
+    row's curve on it, by angle addition (_rabi_scan).
+
+    ts is np.linspace(t_min, t_max, steps), bit for bit, and dt is
+    (t_max - t_min)/(steps - 1), or 0 for fewer than two steps.  P[r, j] is
+    within 8 eps (|J| t_max + 1) of the direct kernel at ts[j]
+    (sweeps._scan_tolerance).  The one grid of the peak engine's coarse
+    scan (sweeps._group_peaks) and of the CLI's curve commands.
+    """
+    dt = (t_max - t_min) / (steps - 1) if steps > 1 else 0.0
+    return (np.linspace(t_min, t_max, steps), dt,
+            _rabi_scan(J, detunings, weights, t_min, dt, steps))
 
 
 def p12_thermal_jm(config: SystemConfig, t):
@@ -381,6 +401,20 @@ def p12(config: SystemConfig, t):
     return float(p) if p.ndim == 0 else p
 
 
+def _check_regime(config: SystemConfig, regime: str) -> None:
+    """Raise ValueError unless the config is in the regime p12_<regime>
+    takes: thermal (finite temperature), zero_temp (zero temperature,
+    q = 0) or correlated_zero_temp (zero temperature)."""
+    if regime == "thermal":
+        if config.thermal.is_zero_temperature:
+            raise ValueError("p12_thermal requires a finite temperature")
+        return
+    if not config.thermal.is_zero_temperature:
+        raise ValueError(f"p12_{regime} requires the zero-temperature tag")
+    if regime == "zero_temp" and config.correlation.q != 0.0:
+        raise ValueError("correlated baths: use p12_correlated_zero_temp")
+
+
 def p12_thermal(config: SystemConfig, t):
     """Finite-temperature transition probability (q = 0 gives independent baths).
 
@@ -388,24 +422,19 @@ def p12_thermal(config: SystemConfig, t):
     sectors; algebraically identical to the double (j, m) sum because the
     summand depends on j only through the multiplicity.
     """
-    if config.thermal.is_zero_temperature:
-        raise ValueError("p12_thermal requires a finite temperature")
+    _check_regime(config, "thermal")
     return p12(config, t)
 
 
 def p12_zero_temp(config: SystemConfig, t):
     """Transition probability for independent baths at zero temperature."""
-    if not config.thermal.is_zero_temperature:
-        raise ValueError("p12_zero_temp requires the zero-temperature tag")
-    if config.correlation.q != 0.0:
-        raise ValueError("correlated baths: use p12_correlated_zero_temp")
+    _check_regime(config, "zero_temp")
     return p12(config, t)
 
 
 def p12_correlated_zero_temp(config: SystemConfig, t):
     """Zero-temperature transition probability with Ising-coupled baths."""
-    if not config.thermal.is_zero_temperature:
-        raise ValueError("p12_correlated_zero_temp requires the zero-temperature tag")
+    _check_regime(config, "correlated_zero_temp")
     return p12(config, t)
 
 

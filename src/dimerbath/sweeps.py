@@ -23,7 +23,7 @@ import numpy as np
 
 from .config import ConfigValidationError, SystemConfig, ThermalSpec, validated
 from .dynamics import (_detuning_groups, _ground_branch, _rabi_average_paired,
-                       _rabi_scan, _rabi_slopes, delta0_correlated, p12)
+                       _rabi_slopes, _uniform_scan, delta0_correlated, p12)
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _EPS = float(np.finfo(float).eps)
@@ -212,7 +212,7 @@ def _group_peaks(J: float, detunings: np.ndarray, weights: np.ndarray,
                  window: TimeWindow) -> list[tuple[float, float]]:
     """(t*, P*) of every weight row over one shared detuning set.
 
-    The coarse scan (_rabi_scan) only picks candidates: the coarse local
+    The coarse scan (_uniform_scan) only picks candidates: the coarse local
     maxima whose interval could hold a peak above the row's best sample
     (_candidates).  Each candidate is refined within +-dt: by safeguarded
     Newton on the closed-form P' where P' changes sign next to it, by
@@ -226,15 +226,13 @@ def _group_peaks(J: float, detunings: np.ndarray, weights: np.ndarray,
         return [(window.t_min, 0.0)] * len(weights)
     omega = np.sqrt(J * J + detunings * detunings)
     omega_max = float(omega.max())
+    ts, dt, p = _uniform_scan(J, detunings, weights, window.t_min, window.t_max,
+                              window.coarse_steps)
     # the coarse grid has to resolve the fastest sector oscillation
-    dt = (window.t_max - window.t_min) / (window.coarse_steps - 1)
     if dt > math.pi / omega_max / 4.0:
         raise ValueError(
             f"coarse step {dt:.3g} ps cannot resolve the fastest sector "
             f"frequency {omega_max:.3g} ps^-1; need more coarse_steps")
-
-    ts = np.linspace(window.t_min, window.t_max, window.coarse_steps)
-    p = _rabi_scan(J, detunings, weights, window.t_min, dt, window.coarse_steps)
     n = len(p)
     i_best = p.argmax(axis=1)
     rows, cols = _candidates(J, omega, weights, p, p[np.arange(n), i_best],

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -69,16 +70,27 @@ def test_empty_curve_request(config_file, tmp_path):
     assert out.read_text() == "t_ps,p12\n"
 
 
+def check_curve(path, out, t_min, t_max, steps):
+    """The curve CSV's t column is np.linspace bit for bit, its p column the
+    uniform-grid scan bit for bit (so %.17g round-trips), and every p is
+    within the scan's tolerance of p12 at the printed t."""
+    from dimerbath.dynamics import _detuning_groups, _uniform_scan
+    from dimerbath.sweeps import TimeWindow, _scan_tolerance
+    config = load_config(path)
+    [(J, detunings, _, w)] = _detuning_groups(config)
+    ts, _, [ps] = _uniform_scan(J, detunings, w, t_min, t_max, steps)
+    rows = np.array(read_curve(out)).reshape(-1, 2)
+    assert rows[:, 0].tobytes() == np.linspace(t_min, t_max, steps).tobytes() == ts.tobytes()
+    assert rows[:, 1].tobytes() == ps.tobytes()
+    tol = _scan_tolerance(J, TimeWindow(t_max=t_max))  # the bound's t_end is t_max
+    assert np.all(np.abs(ps - p12(config, rows[:, 0])) <= tol)
+
+
 def test_curve_round_trips_doubles(config_file, tmp_path):
-    from dimerbath import load_config, p12_zero_temp
     out = tmp_path / "three.csv"
     assert main(["zero-temp", "--config", config_file(), "--t-max", "1.0",
                  "--steps", "3", "--out", str(out)]) == 0
-    rows = read_curve(out)
-    cfg = load_config(config_file())
-    ts = np.linspace(0, 1.0, 3)
-    for (t, p), t_ref in zip(rows, ts):
-        assert t == t_ref and p == p12_zero_temp(cfg, t_ref)
+    check_curve(config_file(), out, 0.0, 1.0, 3)
 
 
 def test_thermal_curve(config_file, tmp_path):
@@ -544,9 +556,8 @@ def _no_work(monkeypatch):
     """Record any config load or computation a command starts."""
     import dimerbath.cli as cli
     calls = []
-    for name in ("load_config", "p12", "p12_zero_temp", "p12_thermal",
-                 "p12_correlated_zero_temp", "max_over_time", "sweep",
-                 "evolve_probability"):
+    for name in ("load_config", "p12", "_check_regime", "_detuning_groups",
+                 "_uniform_scan", "max_over_time", "sweep", "evolve_probability"):
         monkeypatch.setattr(cli, name, lambda *args, name=name, **kw: calls.append(name))
     return calls
 
@@ -580,6 +591,16 @@ def test_curve_commands_reject_negative_steps(config_file, tmp_path, capsys,
     assert calls == [] and list(tmp_path.iterdir()) == [tmp_path / "config.json"]
 
 
+def _scan_run(steps: int) -> int:
+    """B = 2h + 1, the samples of one angle-addition run at this many steps."""
+    return 2 * (math.isqrt(8 * steps) // 2) + 1
+
+
+# 8, 9 and 10 steps are one run less one, one run and one run plus one;
+# 398, 399 and 400 straddle seven runs of 57
+_RUN_EDGES = [8, 9, 10, 398, 399, 400]
+
+
 @pytest.mark.parametrize("command, overrides", [
     ("zero-temp", dict(gamma2=2.0)),
     ("correlated-zero-temp", dict(q=300.0, alpha1=300.0, N1=4, N2=4,
@@ -587,15 +608,67 @@ def test_curve_commands_reject_negative_steps(config_file, tmp_path, capsys,
     ("thermal", dict(gamma1=1.0, gamma2=2.0, q=5.0, N1=3, N2=4,
                      zero_temperature=False, temperature_kelvin=77.0)),
 ])
-def test_curve_rows_equal_p12(config_file, tmp_path, command, overrides):
-    from dimerbath import load_config, p12
+@pytest.mark.parametrize("steps", [0, 1, 2, 3, 301, *_RUN_EDGES])
+@pytest.mark.parametrize("t_min, t_max", [(0.0, 1.5), (0.7, 0.7), (0.35, 1.9)])
+def test_curve_rows_match_p12(config_file, tmp_path, command, overrides, steps, t_min, t_max):
+    assert steps <= 3 or steps == 301 or steps % _scan_run(steps) in (0, 1, _scan_run(steps) - 1)
     path = config_file(**overrides)
     out = tmp_path / "curve.csv"
-    assert main([command, "--config", path, "--t-max", "1.5",
-                 "--steps", "301", "--out", str(out)]) == 0
-    ts, ps = np.array(read_curve(out)).T
-    assert np.array_equal(ts, np.linspace(0.0, 1.5, 301))
-    assert np.array_equal(ps, p12(load_config(path), ts))
+    assert main([command, "--config", path, "--t-min", repr(t_min), "--t-max", repr(t_max),
+                 "--steps", str(steps), "--out", str(out)]) == 0
+    check_curve(path, out, t_min, t_max, steps)
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_curve_straddling_a_detuning_block(config_file, tmp_path, extra):
+    # equal couplings of 0.5 give N1 + N2 + 1 distinct detunings, each exact,
+    # so no two round apart; at 20000 steps a detuning block of _rabi_scan
+    # holds _KERNEL_BLOCK // (n_coarse + h + 1) of them
+    from dimerbath.dynamics import _KERNEL_BLOCK, _detuning_groups
+    steps = 20000
+    half = math.isqrt(8 * steps) // 2
+    width = _KERNEL_BLOCK // (-(-steps // _scan_run(steps)) + half + 1)
+    n1 = (width + extra - 1) // 2
+    path = config_file(N1=n1, N2=width + extra - 1 - n1, gamma1=0.5, gamma2=0.5,
+                       zero_temperature=False, temperature_kelvin=300.0)
+    [(_, detunings, _, _)] = _detuning_groups(load_config(path))
+    assert detunings.size == width + extra
+    out = tmp_path / "curve.csv"
+    assert main(["thermal", "--config", path, "--t-max", "1.0", "--steps", str(steps),
+                 "--out", str(out)]) == 0
+    check_curve(path, out, 0.0, 1.0, steps)
+
+
+@pytest.mark.parametrize("command, overrides, message", [
+    ("thermal", {}, "p12_thermal requires a finite temperature"),
+    ("zero-temp", dict(q=30.0), "correlated baths: use p12_correlated_zero_temp"),
+    ("zero-temp", dict(zero_temperature=False, temperature_kelvin=77.0),
+     "p12_zero_temp requires the zero-temperature tag"),
+    ("correlated-zero-temp", dict(zero_temperature=False, temperature_kelvin=77.0),
+     "p12_correlated_zero_temp requires the zero-temperature tag"),
+])
+def test_curve_regime_checks_exit_2_before_any_kernel_work(config_file, tmp_path, capsys,
+                                                           monkeypatch, command, overrides,
+                                                           message):
+    import dimerbath.cli as cli
+    calls = []
+    for name in ("_detuning_groups", "_uniform_scan", "p12"):
+        monkeypatch.setattr(cli, name, lambda *args, name=name: calls.append(name))
+    out = tmp_path / "curve.csv"
+    assert main([command, "--config", config_file(**overrides), "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", message + "\n")
+    assert calls == [] and list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
+
+@pytest.mark.parametrize("command, overrides", CURVE_COMMANDS)
+def test_curve_commands_run_no_direct_kernel(config_file, tmp_path, monkeypatch,
+                                             command, overrides):
+    import dimerbath.dynamics as dynamics
+    calls = []
+    monkeypatch.setattr(dynamics, "_rabi_average_paired", lambda *args, **kw: calls.append(1))
+    assert main([command, "--config", config_file(**overrides),
+                 "--out", str(tmp_path / "curve.csv")]) == 0
+    assert calls == []
 
 
 @pytest.mark.parametrize("overrides", [
@@ -632,3 +705,28 @@ def test_theta_option_is_gone(config_file, tmp_path):
         main(["correlated-zero-temp", "--config", config_file(q=30.0),
               "--theta", "0.3", "--out", str(tmp_path / "x.csv")])
     assert exc.value.code == 2
+
+
+def test_curve_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the scan's products run in BLAS; 1e5 steps at N = 22/20 make each
+    # product large enough for OpenBLAS to split it over two threads
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import dimerbath
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(FIG2_FREE, N1=22, gamma1=1.3, N2=20, gamma2=1.3, q=12.0,
+                                    zero_temperature=False, temperature_kelvin=77.0)))
+    src = str(Path(dimerbath.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"curve{threads}.csv"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        subprocess.run([sys.executable, "-m", "dimerbath.cli", "thermal", "--config", str(path),
+                        "--t-max", "20", "--steps", "100000", "--out", str(out)],
+                       env=env, check=True)
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]

@@ -592,3 +592,30 @@ def test_peak_engine_stays_serial_past_one_block(monkeypatch, thread_starts, exe
           TimeWindow(t_max=0.05, coarse_steps=200))
     assert sum(b > 1 for b in blocks[1:]) > 10
     assert thread_starts == [] and executors == []
+
+
+def _longdouble_curve(J, detunings, weights, ts):
+    """The direct sum of one merged weight row at ts in extended precision."""
+    J, d = np.longdouble(J), detunings.astype(np.longdouble)
+    omega2 = J * J + d * d
+    phase = np.multiply.outer(ts.astype(np.longdouble), np.sqrt(omega2))
+    return (np.sin(phase) ** 2 * (J * J / omega2 * weights.astype(np.longdouble))).sum(axis=-1)
+
+
+@pytest.mark.parametrize("kelvin, gamma, q, t_max", [
+    (77.0, 1.3, 12.0, 20.0), (77.0, 0.6, 35.0, 9.0),
+    (300.0, 3.1, 30.0, 20.0), (300.0, 2.2, 5.0, 14.0)])
+def test_scan_and_direct_kernel_against_an_extended_precision_sum(kelvin, gamma, q, t_max):
+    # the cli-curve shape: N = 22/20, 1e5 uniform times up to 20 ps
+    from dimerbath.dynamics import _uniform_scan
+    from dimerbath.sweeps import _scan_tolerance
+    cfg = make_config(eps2=20.0, J=10.0, N1=22, gamma1=gamma, N2=20, gamma2=gamma, q=q,
+                      thermal=ThermalSpec.kelvin(kelvin))
+    [(J, detunings, _, w)] = _detuning_groups(cfg)
+    steps = 100_000
+    ts, _, [scan] = _uniform_scan(J, detunings, w, 0.0, t_max, steps)
+    idx = np.unique(np.linspace(0, steps - 1, 1500).astype(int))
+    exact = _longdouble_curve(J, detunings, w[0], ts[idx])
+    tol = _scan_tolerance(J, TimeWindow(t_max=t_max))
+    assert np.abs(scan[idx] - exact).max() <= tol
+    assert np.abs(p12(cfg, ts[idx]) - exact).max() <= tol

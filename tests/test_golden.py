@@ -1,8 +1,9 @@
 """Bit-identity gate: the package's outputs on fixed inputs, as recorded.
 
 golden/values.npz holds every output as raw float64 (whole up to _SAMPLE
-entries, else _SAMPLE evenly spaced ones) and the drawn inputs of the
-benchmark-spec cases.  golden/digests.json holds the SHA-256 of every
+entries, else _SAMPLE evenly spaced ones), the p columns of the curve
+commands' CSVs among them, and the drawn inputs of the benchmark-spec
+cases.  golden/digests.json holds the SHA-256 of every
 output's full bytes, of every CLI file and stdout, and the numpy version,
 BLAS and CPU features of the machine that recorded them.  Where those
 match this machine, every digest must match: the outputs are bit for bit
@@ -30,7 +31,8 @@ from pathlib import Path
 
 import numpy as np
 
-from dimerbath import ThermalSpec, TimeWindow, config_to_dict, max_over_time, p12, sweep
+from dimerbath import (ThermalSpec, TimeWindow, config_to_dict, evolve_probability,
+                       max_over_time, p12, sweep)
 from dimerbath.cli import main
 from conftest import make_config, random_config
 
@@ -142,6 +144,12 @@ def _outputs(inputs: dict) -> dict:
             peaks = np.array([max_over_time(cfg, window) for cfg in configs])
             out[f"max/{tag}/{w}/t"], out[f"max/{tag}/{w}/p"] = peaks.T
 
+    # the oracle at N <= 6, both regimes
+    for tag in ("finite", "zero"):
+        configs = [random_config(rng, n_max=6, zero_temp=tag == "zero") for _ in range(4)]
+        out[f"oracle/{tag}/p"] = [evolve_probability(cfg, np.linspace(0.0, 2.0, 50))
+                                  for cfg in configs]
+
     for name in ("thermal-grid", "zero-temp-grid"):
         rows = zip(inputs[f"in/{name}/config"], inputs[f"in/{name}/gammas"],
                    inputs[f"in/{name}/qs"])
@@ -151,8 +159,9 @@ def _outputs(inputs: dict) -> dict:
     return {name: np.asarray(v, dtype=np.float64) for name, v in out.items()}
 
 
-def _cli_bytes(workdir: Path) -> dict:
-    """The CSV, sidecar and stdout bytes of curve, max and sweep commands."""
+def _cli_outputs(workdir: Path) -> tuple[dict, dict]:
+    """The p column of every curve CSV, by name, and the CSV, sidecar and
+    stdout bytes of the curve, max and sweep commands."""
     configs = {
         "hot": make_config(N1=22, gamma1=1.3, N2=20, gamma2=1.3, thermal=ThermalSpec.kelvin(77.0)),
         "cold": make_config(N1=6, gamma1=1.3, N2=5, gamma2=0.7),
@@ -164,6 +173,7 @@ def _cli_bytes(workdir: Path) -> dict:
         "thermal": ["thermal", "hot", "--steps", "3000"],
         "zero-temp": ["zero-temp", "cold", "--steps", "500"],
         "correlated-zero-temp": ["correlated-zero-temp", "correlated", "--steps", "500"],
+        "thermal-late": ["thermal", "hot", "--t-min", "0.7", "--t-max", "1.9", "--steps", "1001"],
         "max-hot": ["max", "hot"],
         "max-cold": ["max", "cold", "--t-min", "0.3", "--t-max", "1.1"],
         "sweep-1d": ["sweep", "hot", "--axis", "gamma_both=0:4:6"],
@@ -172,7 +182,7 @@ def _cli_bytes(workdir: Path) -> dict:
         "sweep-t": ["sweep", "hot", "--axis", "t=0:1:50", "--axis", "q=0:40:3"],
         "sweep-t-cold": ["sweep", "cold", "--axis", "temperature=77:300:2", "--axis", "t=0:1:50"],
     }
-    out = {}
+    columns, out = {}, {}
     for name, (command, config, *rest) in runs.items():
         path = workdir / f"{name}.out"
         stdout = io.StringIO()
@@ -182,10 +192,12 @@ def _cli_bytes(workdir: Path) -> dict:
         assert code == 0, name
         out[f"cli/{name}/stdout"] = stdout.getvalue().encode()
         out[f"cli/{name}/out"] = path.read_bytes()
+        if command in ("thermal", "zero-temp", "correlated-zero-temp"):
+            columns[f"cli/{name}/p"] = np.loadtxt(path, delimiter=",", skiprows=1)[:, 1]
         sidecar = workdir / f"{name}.argmax.txt"
         if sidecar.exists():
             out[f"cli/{name}/argmax"] = sidecar.read_bytes()
-    return out
+    return columns, out
 
 
 def _sample(a: np.ndarray) -> np.ndarray:
@@ -211,7 +223,9 @@ def test_outputs_equal_the_recorded_ones(tmp_path):
     with np.load(GOLDEN / "values.npz") as npz:
         stored = dict(npz)
     outputs = _outputs({k: v for k, v in stored.items() if k.startswith("in/")})
-    entries = _digests(outputs, _cli_bytes(tmp_path))
+    columns, cli_bytes = _cli_outputs(tmp_path)
+    outputs.update(columns)
+    entries = _digests(outputs, cli_bytes)
     assert entries.keys() == recorded["entries"].keys()
     if recorded["machine"] == _machine():
         print(f"golden: bit-exact mode, {len(entries)} entries")
@@ -231,7 +245,9 @@ def _record():
     inputs = _draw_inputs()
     outputs = _outputs(inputs)
     with tempfile.TemporaryDirectory() as workdir:
-        entries = _digests(outputs, _cli_bytes(Path(workdir)))
+        columns, cli_bytes = _cli_outputs(Path(workdir))
+    outputs.update(columns)
+    entries = _digests(outputs, cli_bytes)
     old = GOLDEN / "digests.json"
     if old.exists():
         before = json.loads(old.read_text())["entries"]

@@ -349,7 +349,7 @@ class TestBatchedEngine:
 
     def test_axis_values_validated_before_any_kernel_call(self, monkeypatch):
         calls = []
-        for name in ("_rabi_scan", "_rabi_average_paired"):
+        for name in ("_uniform_scan", "_rabi_average_paired"):
             def spy(*args, kernel=getattr(sweeps, name)):
                 calls.append(args)
                 return kernel(*args)
