@@ -42,6 +42,9 @@ _TOLERANCE = 1e-9   # on probabilities, where the machine differs
 # elements of one kernel block (dynamics._KERNEL_BLOCK when recorded): the
 # p12 lengths straddle a block of times, and span several
 _BLOCK = 1 << 16
+# rows of one write of the CSV writer (cli._CSV_CHUNK, or a multiple of it):
+# the long CLI curve and time axis span several writes
+_CSV_ROWS = 4096
 
 
 def _machine() -> dict:
@@ -174,6 +177,7 @@ def _cli_outputs(workdir: Path) -> tuple[dict, dict]:
         "zero-temp": ["zero-temp", "cold", "--steps", "500"],
         "correlated-zero-temp": ["correlated-zero-temp", "correlated", "--steps", "500"],
         "thermal-late": ["thermal", "hot", "--t-min", "0.7", "--t-max", "1.9", "--steps", "1001"],
+        "thermal-long": ["thermal", "hot", "--t-max", "12", "--steps", str(3 * _CSV_ROWS + 7)],
         "max-hot": ["max", "hot"],
         "max-cold": ["max", "cold", "--t-min", "0.3", "--t-max", "1.1"],
         "sweep-1d": ["sweep", "hot", "--axis", "gamma_both=0:4:6"],
@@ -181,6 +185,7 @@ def _cli_outputs(workdir: Path) -> tuple[dict, dict]:
         "sweep-2d": ["sweep", "hot", "--axis", "gamma_both=0:4:5", "--axis", "q=0:40:4"],
         "sweep-t": ["sweep", "hot", "--axis", "t=0:1:50", "--axis", "q=0:40:3"],
         "sweep-t-cold": ["sweep", "cold", "--axis", "temperature=77:300:2", "--axis", "t=0:1:50"],
+        "sweep-t-long": ["sweep", "hot", "--axis", f"t=0:2:{2 * _CSV_ROWS + 5}"],
     }
     columns, out = {}, {}
     for name, (command, config, *rest) in runs.items():
