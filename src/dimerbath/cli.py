@@ -35,16 +35,20 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-# rows formatted per write of _emit_csv; bounds its byte buffers
-_CSV_CHUNK = 1024
+# rows formatted per write of _emit_csv.  At 4096 rows (8192 values of a
+# curve) each numpy temporary is 64 KiB and the field buffer 200 KiB, so a
+# block stays in a core's L2 cache while each numpy call's fixed cost is
+# spread over 8192 values; 1024-, 2048- and 8192-row blocks measured slower
+_CSV_CHUNK = 4096
 
-# bytes per field: the longest %.17g string (24, "-2.2250738585072014e-308"),
-# then the separator; unused bytes stay NUL and are dropped on output
+# bytes per field: the text in the first 24 (the longest %.17g string has
+# 24, "-2.2250738585072014e-308"), then the separator; the NUL bytes around
+# the text are dropped on output
 _FIELD = 25
 
-# _DECADES[k] is the double nearest 10**(k-4); for k < 4 it lies above
-# 10**(k-4), so |x| >= _DECADES[k] exactly when |x| >= 10**(k-4)
-_DECADES = np.array([float(f"1e{k}") for k in range(-4, 16)])
+# _DECADES[j] is the double nearest 10**(j-4); for j < 4 it lies above
+# 10**(j-4), so |x| >= _DECADES[j] exactly when |x| >= 10**(j-4)
+_DECADES = np.array([float(f"1e{k}") for k in range(-4, 17)])
 
 
 def _veltkamp(a):
@@ -54,91 +58,96 @@ def _veltkamp(a):
     return hi, a - hi
 
 
-_POW10 = 10.0 ** np.arange(21)  # every 10**k with k <= 22 is an exact double
-_POW10_HI, _POW10_LO = _veltkamp(_POW10)
+_SCALE = 10.0 ** np.arange(20, 0, -1)  # 10**(16-X) at i = X+4; each is an exact double
+_SCALE_HI, _SCALE_LO = _veltkamp(_SCALE)
 
 
 @functools.cache
-def _digit_groups():
-    """The four ASCII digits of 0..9999 per uint32, then the same with
-    trailing zeros as NUL."""
-    n = np.arange(10000, dtype=np.uint16)[:, None]
-    digits = (n // np.array([1000, 100, 10, 1], np.uint16) % 10).astype(np.uint8) + ord("0")
-    trailing = n % np.array([10000, 1000, 100, 10], np.uint16) == 0
-    table = np.concatenate([digits, digits * ~trailing])
-    return table.view(np.uint32).ravel()
+def _tables():
+    """The lookup tables of _csv_bytes, for i = X+4 in [0, 20).
+
+    A fast field's first 8 bytes are its head, heads[(i + 20*negative)*10 + d]:
+    the sign and, for X < 0, '0.' and -X-1 zeros, right-aligned up to D's
+    first digit d at byte 7, or for X >= 0 up to d at byte 6.  D's other
+    16 digits are four groups g of four, group m a 5-byte window at byte
+    7 + 4m, windows[bases[m][i] + 10000*trailing + g].  With p = X - 4m
+    clipped to [-1, 4], the window holds the group's digits after a NUL
+    (p = -1: the point came before), the first p digits, the point and the
+    rest, or the digits then a NUL (p = 4: the point comes after).  With
+    trailing, which holds when every later group is zero and always for the
+    last, the zeros at the end after the point are NUL, and so is the point
+    when no digit follows it.  Neighbouring windows share one byte, which
+    at most one of them uses."""
+    n = np.arange(10000)[:, None]
+    digits = (n // np.array([1000, 100, 10, 1]) % 10 + ord("0")).astype(np.uint8)
+    zero_from = n % np.array([10000, 1000, 100, 10]) == 0  # this digit and all after it are 0
+    windows = np.zeros((6, 2, 10000, 8), np.uint8)
+    windows[5, :, :, :4] = digits
+    for p, w in zip(range(-1, 4), windows):
+        s = max(p, 0)  # the first digit after the point
+        w[:, :, :s] = digits[:, :s]
+        w[:, :, s + 1:5] = digits[:, s:]
+        w[1, :, s + 1:5] *= ~zero_from[:, s:]
+        if p >= 0:
+            w[:, :, p] = ord(".")
+            w[1, :, p] *= ~zero_from[:, p]
+    X = np.arange(20) - 4
+    bases = [20000 * (np.clip(X - 4 * m, -1, 4) + 1) for m in range(4)]
+    heads = [(b"-" * neg + (b"0." + b"0" * (-x - 1) + b"%d" % d if x < 0 else b"%d\0" % d))
+             .rjust(8, b"\0") for neg in (0, 1) for x in X.tolist() for d in range(10)]
+    return (windows.view("<u8").ravel(), bases,
+            np.frombuffer(b"".join(heads), "<u8"))
 
 
 def _csv_bytes(block):
     """The rows of a 2-D float64 block, each value as '%.17g' % value writes
-    it, comma-separated and newline-ended, as one uint8 array.
+    it, comma-separated and newline-ended, as bytes.
 
     Every |x| in [1e-4, 1e16) has a decimal exponent X in [-4, 15], so
     %.17g writes it in fixed notation from D, the 17-digit integer nearest
     |x|*10**(16-X) (ties to even), with the point after digit X and trailing
-    zeros dropped.  x*10**(16-X) is formed exactly as hi + lo (Dekker's
-    TwoProduct), so D = hi + rint(lo) is correctly rounded.  D never rounds
-    up to 10**17: the double below 10**(X+1) is more than 5 units of D away.
-    Every other value goes through '%.17g' % value."""
+    zeros dropped.  X is floor(e*log10(2)), e the binary exponent, or one
+    more.  x*10**(16-X) is formed exactly as hi + lo (Dekker's TwoProduct),
+    so D = hi + rint(lo) is correctly rounded.  D never rounds up to
+    10**17: the double below 10**(X+1) is more than 5 units of D away.  The
+    text is put together from the words of _tables.  Every other value goes
+    through '%.17g' % value."""
     rows, cols = block.shape
     v = block.ravel()
     a = np.abs(v)
-    fast = (a >= 1e-4) & (a < 1e16)
-    x = np.where(fast, a, 1.0)
-    e = (_DECADES.searchsorted(x, side="right") - 1).astype(np.int8)  # X + 4
-    order = e.argsort(kind="stable")  # each exponent's fields in one run
-    x, e = x.take(order), e.take(order)
-    k = 20 - e
-    hi = x * _POW10.take(k)
-    x_hi, x_lo = _veltkamp(x)
-    p_hi, p_lo = _POW10_HI.take(k), _POW10_LO.take(k)
-    lo = ((x_hi * p_hi - hi) + x_hi * p_lo + x_lo * p_hi) + x_lo * p_lo
+    j = ((a.view(np.int64) >> 52) * 1233 - 1240879) >> 12  # floor(e*log10(2)) + 5
+    i = j - (a < _DECADES.take(j, mode="clip"))  # X + 4
+    slow = np.flatnonzero(i.view(np.uint64) > 19)
+    a[slow], i[slow] = 1.0, 4
+    hi = a * _SCALE.take(i)
+    a_hi, a_lo = _veltkamp(a)
+    s_hi, s_lo = _SCALE_HI.take(i), _SCALE_LO.take(i)
+    lo = ((a_hi * s_hi - hi) + a_hi * s_lo + a_lo * s_hi) + a_lo * s_lo
     D = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
-    high = D // 10 ** 8
-    low = D - high * 10 ** 8
-    top = high // 10 ** 8  # D's leading digit
+    high = D // 10 ** 8  # then in int32: D's first digit, the other 16 in groups
+    low = (D - high * 10 ** 8).astype(np.int32)
+    high = high.astype(np.int32)
+    top = high // 10 ** 8
     high -= top * 10 ** 8
-    quads = []  # D's other 16 digits, four per group
-    for half in (high, low):
-        q = half // 10 ** 4
-        quads += [q, half - q * 10 ** 4]
-    # a group's trailing zeros are NUL when every later group is zero
-    table = _digit_groups()
-    g = np.empty((len(x), 5), np.uint32)
-    zero_after = np.ones(len(x), bool)
-    for i in range(3, -1, -1):
-        g[:, i + 1] = table.take(quads[i] + 10000 * zero_after)
-        zero_after &= quads[i] == 0
-    g[:, 0] = table.take(top)  # "000d": the leading zeros are cut off below
-    d = g.view(np.uint8)[:, 3:]  # the 17 digits
-    s = np.zeros((len(x), _FIELD), np.uint8)
-    bounds = e.searchsorted(np.arange(21, dtype=np.int8)).tolist()
-    for X in range(-4, 16):
-        f, dx = s[bounds[X + 4]:bounds[X + 5]], d[bounds[X + 4]:bounds[X + 5]]
-        if not len(f):
-            continue
-        if X >= 0:  # digits 0..X, the point unless no fraction is left, the rest
-            f[:, 1:X + 2] = dx[:, :X + 1] | ord("0")
-            f[:, X + 2] = (dx[:, X + 1] != 0) * ord(".")
-            f[:, X + 3:19] = dx[:, X + 1:]
-        else:  # "0.", -X-1 zeros, the digits
-            f[:, 1:2 - X] = ord("0")
-            f[:, 2] = ord(".")
-            f[:, 2 - X:19 - X] = dx
-    out = np.empty_like(s)
-    field = np.dtype((np.void, _FIELD))
-    out.view(field).ravel()[order] = s.view(field).ravel()
-    out[:, 0] = (v < 0) * ord("-")
-    slow = np.flatnonzero(~fast)
+    g1 = high // 10 ** 4
+    g3 = low // 10 ** 4
+    g = [g1, high - g1 * 10 ** 4, g3, low - g3 * 10 ** 4]
+    windows, bases, heads = _tables()
+    w = [None] * 4
+    trailing = np.ones(len(v), bool)
+    for m in (3, 2, 1, 0):
+        w[m] = windows.take(bases[m].take(i) + g[m] + 10000 * trailing)
+        trailing &= g[m] == 0
+    out = np.empty((len(v), _FIELD), np.uint8)
+    word = [out[:, k:k + 8].view("<u8")[:, 0] for k in (0, 8, 16)]
+    word[0][:] = heads.take((i + 20 * np.signbit(v)) * 10 + top) | w[0] << 56
+    word[1][:] = w[0] >> 8 | w[1] << 24 | w[2] << 56
+    word[2][:] = w[2] >> 8 | w[3] << 24
     if len(slow):
-        text = np.zeros((len(slow), _FIELD), np.uint8)
-        text[:, :-1] = np.array(["%.17g" % y for y in v[slow].tolist()],
-                                dtype=f"S{_FIELD - 1}").view(np.uint8).reshape(-1, _FIELD - 1)
-        out[slow] = text
-    seps = out.reshape(rows, cols, _FIELD)
-    seps[:, :, -1] = ord(",")
-    seps[:, -1, -1] = ord("\n")
-    return out[out != 0]
+        out[slow, :-1] = np.array(["%.17g" % y for y in v[slow].tolist()],
+                                  dtype=f"S{_FIELD - 1}").view(np.uint8).reshape(-1, _FIELD - 1)
+    out.reshape(rows, cols, _FIELD)[:, :, -1] = np.frombuffer(b"," * (cols - 1) + b"\n", np.uint8)
+    return out.tobytes().translate(None, b"\0")
 
 
 def _emit_csv(path: str, header: str, columns):
@@ -428,9 +437,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser() once per process: parse_args leaves the parser as it
+    was, and append copies its default list before adding to it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigValidationError as exc:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dimerbath import load_config, p12, sweep
-from dimerbath.cli import main
+from dimerbath.cli import _CSV_CHUNK, main
 
 FIG2_FREE = {
     "epsilon1": 0.0, "epsilon2": 20.0, "J": 10.0,
@@ -281,6 +281,60 @@ def test_csv_writer_matches_percent_17g_on_every_rounding_edge(tmp_path):
         assert (tmp_path / "w.csv").read_bytes() == expected.encode()
 
 
+def test_csv_writer_matches_percent_17g_on_short_decimals(tmp_path):
+    """Dyadic values k/2**m have short decimals, so their trailing zeros end
+    in every digit group, at every place of the point, on both sides of it."""
+    import dimerbath.cli as cli
+    rng = np.random.default_rng(8)
+    k = np.concatenate([rng.integers(1, 10 ** r, 300) for r in range(1, 18)])
+    m = rng.integers(0, 15, len(k))
+    values = np.ldexp(k.astype(np.float64), -m)
+    values = np.concatenate([values, -values, values * 10.0 ** rng.integers(-3, 3, len(k))])
+    X = np.floor(np.log10(np.abs(values)))
+    assert set(range(-4, 16)) <= set(X.tolist())
+    rows = values[rng.permutation(len(values))].reshape(-1, 3)
+    assert len(rows) > cli._CSV_CHUNK
+    cli._emit_csv(str(tmp_path / "w.csv"), "h", list(rows.T))
+    expected = "h\n" + "".join(",".join("%.17g" % x for x in row) + "\n"
+                               for row in rows.tolist())
+    assert (tmp_path / "w.csv").read_bytes() == expected.encode()
+
+
+def test_csv_writer_memory_does_not_grow_with_the_curve(tmp_path):
+    """The writer holds one block of rows at a time: its peak allocation
+    at 4e5 rows is that at 1e5 rows, within 64 KiB, and under 4 MiB."""
+    import tracemalloc
+    from dimerbath.cli import emit_curve_csv
+    emit_curve_csv(str(tmp_path / "curve.csv"), [1.0], [0.5])  # lookup tables, built once
+    peaks = []
+    for n in (100_000, 400_000):
+        ts = np.linspace(0.0, 20.0, n)
+        ps = np.random.default_rng(n).random(n)
+        tracemalloc.start()
+        try:
+            emit_curve_csv(str(tmp_path / "curve.csv"), ts, ps)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 64 * 1024
+    assert max(peaks) < 4 * 2 ** 20, peaks
+
+
+def test_main_parses_each_call_with_its_own_axes(config_file, tmp_path, monkeypatch):
+    """The parser is built once per process, and argparse's append default
+    is not shared between calls: each sweep sees only its own axes."""
+    import dimerbath.cli as cli
+    cli._parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("parser built again"))
+    calls = [["gamma2=0:4:3", "q=0:40:2"], ["gamma1=0:1:2"], ["q=0:10:3"]]
+    for i, axes in enumerate(calls):
+        out = tmp_path / f"grid{i}.csv"
+        argv = ["sweep", "--config", config_file(), "--out", str(out)]
+        assert main(argv + [a for axis in axes for a in ("--axis", axis)]) == 0
+        manifest = json.loads((tmp_path / f"grid{i}.csv.manifest.json").read_text())
+        assert [a["name"] for a in manifest["axes"]] == [axis.split("=")[0] for axis in axes]
+
+
 def _per_value_grid_csv(path, grid):
     """A sweep CSV written one formatted value at a time."""
     f = lambda x: format(float(x), ".17g")
@@ -304,11 +358,11 @@ def _per_value_grid_csv(path, grid):
 # each case has a -0.0 row value (the stop of a descending range) and more
 # rows than one write of the CSV writer holds
 @pytest.mark.parametrize("axes", [
-    ["gamma2=-2:-0:1100"],
-    ["gamma1=-0.5:-0:3", "gamma2=-2:-0:1200"],
-    ["t=-1:-0:2100"],
-    ["gamma2=-2:-0:3", "t=-1:-0:1200"],
-    ["t=0:1:4", "q=-600:-0:1101"],
+    [f"gamma2=-2:-0:{_CSV_CHUNK + 76}"],
+    ["gamma1=-0.5:-0:3", f"gamma2=-2:-0:{_CSV_CHUNK + 176}"],
+    [f"t=-1:-0:{_CSV_CHUNK + 1076}"],
+    ["gamma2=-2:-0:3", f"t=-1:-0:{_CSV_CHUNK + 176}"],
+    ["t=0:1:4", f"q=-600:-0:{_CSV_CHUNK + 77}"],
 ])
 def test_sweep_csv_bytes_equal_the_per_value_writer(config_file, tmp_path,
                                                      monkeypatch, axes):
