@@ -283,7 +283,8 @@ def test_csv_writer_matches_percent_17g_on_every_rounding_edge(tmp_path):
 
 def test_csv_writer_matches_percent_17g_on_short_decimals(tmp_path):
     """Dyadic values k/2**m have short decimals, so their trailing zeros end
-    in every digit group, at every place of the point, on both sides of it."""
+    in every digit group, at every place of the point, on both sides of it;
+    the same values times powers of ten are the usual 17 digits."""
     import dimerbath.cli as cli
     rng = np.random.default_rng(8)
     k = np.concatenate([rng.integers(1, 10 ** r, 300) for r in range(1, 18)])
