@@ -100,9 +100,12 @@ def _tables():
             np.frombuffer(b"".join(heads), "<u8"))
 
 
-def _csv_bytes(block):
+def _csv_bytes(block, field: bytearray | None = None) -> bytearray:
     """The rows of a 2-D float64 block, each value as '%.17g' % value writes
-    it, comma-separated and newline-ended, as bytes.
+    it, comma-separated and newline-ended.
+
+    The text is laid out in field, _FIELD bytes per value (a new buffer if
+    None is given), and returned with its NUL bytes dropped.
 
     Every |x| in [1e-4, 1e16) has a decimal exponent X in [-4, 15], so
     %.17g writes it in fixed notation from D, the 17-digit integer nearest
@@ -114,6 +117,8 @@ def _csv_bytes(block):
     text is put together from the words of _tables.  Every other value goes
     through '%.17g' % value."""
     rows, cols = block.shape
+    if field is None:
+        field = bytearray(rows * cols * _FIELD)
     v = block.ravel()
     a = np.abs(v)
     j = ((a.view(np.int64) >> 52) * 1233 - 1240879) >> 12  # floor(e*log10(2)) + 5
@@ -139,7 +144,7 @@ def _csv_bytes(block):
     for m in (3, 2, 1, 0):
         w[m] = windows.take(bases[m].take(i) + g[m] + 10000 * trailing)
         trailing &= g[m] == 0
-    out = np.empty((len(v), _FIELD), np.uint8)
+    out = np.frombuffer(field, np.uint8).reshape(len(v), _FIELD)
     word = [out[:, k:k + 8].view("<u8")[:, 0] for k in (0, 8, 16)]
     word[0][:] = heads.take((i + 20 * np.signbit(v)) * 10 + top) | w[0] << 56
     word[1][:] = w[0] >> 8 | w[1] << 24 | w[2] << 56
@@ -148,20 +153,24 @@ def _csv_bytes(block):
         out[slow, :-1] = np.array(["%.17g" % y for y in v[slow].tolist()],
                                   dtype=f"S{_FIELD - 1}").view(np.uint8).reshape(-1, _FIELD - 1)
     out.reshape(rows, cols, _FIELD)[:, :, -1] = np.frombuffer(b"," * (cols - 1) + b"\n", np.uint8)
-    return out.tobytes().translate(None, b"\0")
+    return field.translate(None, b"\0")
 
 
 def _emit_csv(path: str, header: str, columns):
     """The header line, then one row per index of the columns, up to the
     shortest, each value byte for byte as C's %.17g writes it, in writes of
-    at most _CSV_CHUNK rows."""
+    at most _CSV_CHUNK rows.  The blocks share one field buffer, the last
+    takes its own when it is shorter."""
     n = min(len(c) for c in columns)
+    field = bytearray(min(n, _CSV_CHUNK) * len(columns) * _FIELD)
     with open(path, "wb") as fh:
         fh.write(header.encode() + b"\n")
         for lo in range(0, n, _CSV_CHUNK):
             hi = min(n, lo + _CSV_CHUNK)
+            if (hi - lo) * len(columns) * _FIELD < len(field):
+                field = bytearray((hi - lo) * len(columns) * _FIELD)
             fh.write(_csv_bytes(np.column_stack(
-                [c[lo:hi] for c in columns]).astype(np.float64, copy=False)))
+                [c[lo:hi] for c in columns]).astype(np.float64, copy=False), field))
 
 
 def emit_curve_csv(path: str, ts, ps):

@@ -106,6 +106,21 @@ def _log_counts(N: int) -> tuple[np.ndarray, np.ndarray]:
     return m, lg
 
 
+@functools.lru_cache(maxsize=64)
+def _sector_classes(N1: int, N2: int, c1: int, c2: int) -> tuple[np.ndarray, np.ndarray]:
+    """(first, of): the classes of equal key c2 (2 m2) - c1 (2 m1) over the flat
+    (m1, m2) grid of _log_weight_rows (m1 the slower index), read-only.
+
+    first holds every class's first sector, the classes in ascending key
+    order, and of maps every sector to its class.
+    """
+    two_m1, two_m2 = ((2.0 * _log_counts(N)[0]).astype(np.int64) for N in (N1, N2))
+    keys = (c2 * two_m2[None, :] - c1 * two_m1[:, None]).ravel()
+    _, first, of = np.unique(keys, return_index=True, return_inverse=True)
+    first.flags.writeable = of.flags.writeable = False
+    return first, of
+
+
 def _log_weight_rows(N1: int, alpha1: float, N2: int, alpha2: float,
                      beta: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Max-shifted log-weights over the flat (m1, m2) grid, one row per (beta, q).

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combinatorics import _log_counts, _log_weight_rows, multiplicity
+from .combinatorics import _log_counts, _log_weight_rows, _sector_classes, multiplicity
 from .config import SystemConfig
 
 
@@ -86,6 +86,40 @@ def _distinct(*columns) -> tuple[np.ndarray, np.ndarray]:
     return first, of
 
 
+def _merged_detunings(gap: float, gamma1: float, gamma2: float,
+                      N1: int, N2: int) -> tuple[np.ndarray, np.ndarray]:
+    """(detunings, inverse): the distinct sector detunings, ascending, and the
+    index among them of every sector of the flat (m1, m2) grid.
+
+    Sectors of exactly equal detuning form a class.  Every float is an
+    integer multiple of a power of two, so gamma1 = c1 g and gamma2 = c2 g
+    for coprime integers c1, c2 and some g > 0, and the exact detuning is
+    gap + g (c2 (2 m2) - c1 (2 m1))/4: a class is one value of that integer
+    key (combinatorics._sector_classes).  A class takes its first sector's
+    float, and classes whose floats still coincide merge as floats do
+    (np.unique).  With c1 and c2 nonzero and |c1| > 2 N2 or |c2| > 2 N1, no
+    two sectors tie (c1 would divide a difference of two 2 m2, at most 2 N2),
+    so the floats alone are merged.
+    """
+    m1, m2 = _log_counts(N1)[0], _log_counts(N2)[0]
+    delta = _detunings(gap, gamma1, gamma2, m1, m2)
+    (n1, d1), (n2, d2) = gamma1.as_integer_ratio(), gamma2.as_integer_ratio()
+    d = max(d1, d2)  # both powers of two
+    c1, c2 = n1 * (d // d1), n2 * (d // d2)
+    g = math.gcd(c1, c2) or 1  # both 0: one class
+    c1, c2 = c1 // g, c2 // g
+    if c1 and c2 and (abs(c1) > 2 * N2 or abs(c2) > 2 * N1):
+        return np.unique(delta, return_inverse=True)
+    first, of = _sector_classes(N1, N2, c1, c2)
+    floats = delta[first]
+    # the exact detunings ascend with the key; floats that still do are
+    # what np.unique would return, with inverse the identity
+    if (floats[1:] > floats[:-1]).all():
+        return floats, of
+    detunings, inverse = np.unique(floats, return_inverse=True)
+    return detunings, inverse[of]
+
+
 def _detuning_groups(config: SystemConfig, **cells):
     """The config's cells grouped by detuning set, sectors merged.
 
@@ -94,15 +128,16 @@ def _detuning_groups(config: SystemConfig, **cells):
     others take the config's own value.  With none given the config is
     the one cell: a group of one at finite temperature, the ground-state
     corner (_sector_arrays) at zero temperature.  P(t) depends on a sector
-    only through its detuning, so the weights of sectors that share one
-    are summed.  The weights depend on (beta, q) alone and the detunings on
-    (gamma1, gamma2) alone, so each distinct (beta, q) row
-    (_log_weight_rows) and each distinct (J, gamma1, gamma2) detuning set
-    is built once, and a group is the cells of one (J, gamma1, gamma2).
-    Returns a list of (J, detunings, cells, weights): the sorted distinct
-    detunings, the indices of the group's cells, and one row of merged
-    weights per cell.  A cell's detunings and weights have the same bits
-    in any grid, alone included.
+    only through its detuning, so the weights of the sectors of one exact
+    detuning class (_merged_detunings) are summed.  The weights depend on
+    (beta, q) alone and the detunings on (gamma1, gamma2) alone, so each
+    distinct (beta, q) row (_log_weight_rows) and each distinct
+    (J, gamma1, gamma2) detuning set is built once, and a group is the
+    cells of one (J, gamma1, gamma2).  Returns a list of
+    (J, detunings, cells, weights): the sorted distinct detunings, the
+    indices of the group's cells, and one row of merged weights per cell.
+    A cell's detunings and weights have the same bits in any grid, alone
+    included.
     """
     if not cells and config.thermal.is_zero_temperature:
         w, delta = _sector_arrays(config)
@@ -115,15 +150,14 @@ def _detuning_groups(config: SystemConfig, **cells):
         values["beta"] = config.thermal.beta
     J, gamma1, gamma2, beta, q = (np.full(n, values[name], dtype=float)
                                   for name in ("J", "gamma1", "gamma2", "beta", "q"))
-    m1, m2 = _log_counts(b1.N)[0], _log_counts(b2.N)[0]
+    sectors = (b1.N + 1) * (b2.N + 1)
     rows, row_of = _distinct(beta, q)
     sets, set_of = _distinct(J, gamma1, gamma2)
     groups = []
     for s, first in enumerate(sets):
         members = np.flatnonzero(set_of == s)
-        detunings, inverse = np.unique(
-            _detunings(config.gap, gamma1[first], gamma2[first], m1, m2),
-            return_inverse=True)
+        detunings, inverse = _merged_detunings(config.gap, gamma1[first], gamma2[first],
+                                               b1.N, b2.N)
         # the group's W rows, ascending, and each member's among them
         used = np.flatnonzero(np.bincount(row_of[members], minlength=len(rows)))
         slot = np.searchsorted(used, row_of[members])
@@ -132,7 +166,7 @@ def _detuning_groups(config: SystemConfig, **cells):
     # W rows in blocks of at most _KERNEL_BLOCK elements, each merged into
     # every group that uses it: row i of a block adds its sectors to bins
     # i K + inverse, in sector order, as a bincount of the row alone would
-    step = max(1, _KERNEL_BLOCK // (m1.size * m2.size))
+    step = max(1, _KERNEL_BLOCK // sectors)
     for lo in range(0, len(rows), step):
         block = rows[lo:lo + step]
         lw, log_z = _log_weight_rows(b1.N, b1.alpha, b2.N, b2.alpha, beta[block], q[block])
@@ -155,32 +189,52 @@ def _allowed_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _rabi_average_paired(J: float, detunings: np.ndarray, weights: np.ndarray,
-                        rows: np.ndarray, t: np.ndarray, threaded: bool = False) -> np.ndarray:
+def _tables(J, detunings) -> tuple[np.ndarray, np.ndarray]:
+    """(omega^2, J^2/omega^2) of every group: J one value per group (a
+    float is one group), detunings a row per group (a 1-D array is one).
+    J^2 + D^2 underflows to 0 only where P = sin^2(|J| t) does too, and the
+    amplitude is 0 there."""
+    J = np.reshape(J, (-1, 1))
+    jj = J * J
+    omega2 = jj + detunings * detunings
+    return omega2, np.divide(jj, omega2, out=np.zeros(omega2.shape), where=omega2 > 0)
+
+
+def _pick(table: np.ndarray, index) -> np.ndarray:
+    """The rows of table at index, or its one row, broadcast."""
+    return table if len(table) == 1 else table[index]
+
+
+def _rabi_average_paired(J, detunings: np.ndarray, weights: np.ndarray,
+                         rows: np.ndarray, t: np.ndarray, threaded: bool = False,
+                         of: np.ndarray | None = None) -> np.ndarray:
     """sum_k weights[rows[i], k] K(t[i], D_k) for every i, each at its own time.
 
-    K(t, D) = J^2/(J^2 + D^2) * sin^2(t sqrt(J^2 + D^2)).  The time axis is
-    cut into blocks of _KERNEL_BLOCK // K times, each evaluated in place;
-    threaded (p12's curves), two or more blocks run in order on a pool made
-    for the call, one thread per allowed CPU at most; the peak engine stays
-    serial.  One weight row is broadcast, not gathered, and rows is then
-    not read (p12 and time-axis sweeps pass None).  Each value is the
-    pairwise sum of its own row, so it depends on neither other t nor threads.
+    K(t, D) = J^2/(J^2 + D^2) * sin^2(t sqrt(J^2 + D^2)), with the J and
+    the detunings of group of[rows[i]] (_tables); of None is one group for
+    every weight row.  The time axis is cut into blocks of
+    _KERNEL_BLOCK // K times, each evaluated in place; threaded (p12's
+    curves), two or more blocks run in order on a pool made for the call,
+    one thread per allowed CPU at most; the peak engine stays serial.  A
+    table of one row is broadcast, not gathered, and with one weight row
+    and one group rows is not read (p12 and time-axis sweeps pass None).
+    Each value is the pairwise sum of its own row, so it depends on neither
+    other t, nor other rows or groups, nor threads.
     """
-    omega2 = J * J + detunings * detunings
-    # J^2 + D^2 underflows to 0 only where P = sin^2(|J| t) does too
-    amp = np.divide(J * J, omega2, out=np.zeros_like(omega2), where=omega2 > 0)
+    omega2, amp = _tables(J, detunings)
     omega = np.sqrt(omega2)
     out = np.empty(t.size)
-    step = max(1, _KERNEL_BLOCK // detunings.size)
+    step = max(1, _KERNEL_BLOCK // omega.shape[1])
 
     def run(lo: int):
         block = slice(lo, lo + step)
-        K = np.multiply.outer(t[block], omega)
+        r = None if rows is None else rows[block]
+        g = None if len(omega) == 1 else of[r]
+        K = t[block, None] * _pick(omega, g)
         np.sin(K, out=K)
         np.square(K, out=K)
-        K *= amp
-        K *= weights if len(weights) == 1 else weights[rows[block]]
+        K *= _pick(amp, g)
+        K *= _pick(weights, r)
         out[block] = K.sum(axis=-1)
 
     starts = range(0, t.size, step)
@@ -200,49 +254,60 @@ def _rabi_average_paired(J: float, detunings: np.ndarray, weights: np.ndarray,
     return out
 
 
-def _rabi_slopes(J: float, detunings: np.ndarray, weights: np.ndarray,
-                 rows: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _rabi_slopes(J, detunings: np.ndarray, weights: np.ndarray, rows: np.ndarray,
+                 t: np.ndarray, of: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(P', P'') of _rabi_average_paired at every t[i], in closed form.
 
     P' = J^2 sum_k w_k sin(2 omega_k t)/omega_k and
-    P'' = 2 J^2 sum_k w_k cos(2 omega_k t), with w = weights[rows[i]].
-    As in the paired kernel, one row is broadcast and each value depends on
-    its own entry only; the blocks run on this thread.
+    P'' = 2 J^2 sum_k w_k cos(2 omega_k t), with w = weights[rows[i]] and
+    the J and omega of group of[rows[i]].  As in the paired kernel, a table
+    of one row is broadcast and each value depends on its own entry only;
+    the blocks run on this thread.
     """
-    omega = np.sqrt(J * J + detunings * detunings)
+    J = np.reshape(J, -1)
+    omega2, _ = _tables(J, detunings)
+    omega = np.sqrt(omega2)
     slope, curvature = np.empty(t.size), np.empty(t.size)
-    step = max(1, _KERNEL_BLOCK // detunings.size)
+    step = max(1, _KERNEL_BLOCK // omega.shape[1])
     for lo in range(0, t.size, step):
         block = slice(lo, lo + step)
-        phase = 2.0 * np.multiply.outer(t[block], omega)
-        w = weights if len(weights) == 1 else weights[rows[block]]
-        slope[block] = (w * (np.sin(phase) / omega)).sum(axis=-1)
+        r = rows[block]
+        om = _pick(omega, None if len(omega) == 1 else of[r])
+        phase = 2.0 * (t[block, None] * om)
+        w = _pick(weights, r)
+        slope[block] = (w * (np.sin(phase) / om)).sum(axis=-1)
         curvature[block] = (w * np.cos(phase)).sum(axis=-1)
+    J = _pick(J, None if len(J) == 1 else of[rows])
     return J * J * slope, 2.0 * J * J * curvature
 
 
-def _rabi_scan(J: float, detunings: np.ndarray, weights: np.ndarray,
-               t0: float, dt: float, steps: int) -> np.ndarray:
+def _rabi_scan(J, detunings: np.ndarray, weights: np.ndarray,
+               t0: float, dt: float, steps: int, of: np.ndarray | None = None) -> np.ndarray:
     """The direct kernel on the uniform grid t0 + j dt, j < steps, by angle addition.
 
     Its callers go through _uniform_scan: the peak engine's coarse scan
-    (sweeps._group_peaks) and the CLI's curve commands.
+    (sweeps._stack_peaks) and the CLI's curve commands.  Weight row r takes
+    the J and detunings of group of[r], of ascending; of None is one group
+    for every row.
 
     With c_k = w_k J^2/omega_k^2, P(t) = sum_k c_k/2 - sum_k c_k cos(2 omega_k t)/2.
     The grid is cut into runs of B = 2h + 1 steps around centres T_u, and
     cos(2 omega (T_u +- v dt)) = cos x cos y -+ sin x sin y with x, y the
     phases of T_u and of v dt.  So a weight row's scan is a pair of matrix
-    products per block of detunings, over cos/sin tables of the centres
-    and of the offsets 0..h: 2 (steps/B + h + 1) K sines and cosines
-    instead of steps K sines.  The blocks bound the tables' memory.  A
-    stacked matmul makes one product per row, and the blocks depend only on
-    steps and the number of detunings, so a row gives the same bits
-    whatever rows it is batched with.  The result agrees with the direct
-    kernel (_rabi_average_paired) in absolute, not relative, terms.  No
-    steps give an empty row per weight row; dt = 0 gives t0 throughout.
+    products per block of detunings, over its group's cos/sin tables of
+    the centres and of the offsets 0..h: 2 (steps/B + h + 1) K sines and
+    cosines per group instead of steps K sines per row.  The tables of as
+    many groups as fit a block come from one cos and one sin call, and the
+    blocks bound the tables' memory.  A stacked matmul makes one product
+    per row, and the blocks depend only on steps and the number of
+    detunings, so a row gives the same bits whatever rows and groups it is
+    batched with.  The result agrees with the direct kernel
+    (_rabi_average_paired) in absolute, not relative, terms.  No steps give
+    an empty row per weight row; dt = 0 gives t0 throughout.
     """
-    omega2 = J * J + detunings * detunings
+    omega2, amp = _tables(J, detunings)
     two_omega = 2.0 * np.sqrt(omega2)
+    of = np.zeros(len(weights), np.intp) if of is None else of
     # B about sqrt(8 steps): the offset tables are the larger, as they are
     # not scaled per row
     half = math.isqrt(8 * steps) // 2
@@ -250,22 +315,32 @@ def _rabi_scan(J: float, detunings: np.ndarray, weights: np.ndarray,
     n_coarse = -(-steps // n_fine)
     centres = t0 + dt * (half + n_fine * np.arange(n_coarse))
     offsets = dt * np.arange(half + 1)
-    c = weights * np.divide(J * J, omega2, out=np.zeros_like(omega2), where=omega2 > 0)
+    c = weights * _pick(amp, of)
+    k = two_omega.shape[1]
     # [row, cos | sin, centre, offset]
     acc = np.empty((len(c), 2, n_coarse, half + 1))
     width = max(1, _KERNEL_BLOCK // (n_coarse + half + 1))
-    batch = max(1, _KERNEL_BLOCK // max(1, 2 * n_coarse * min(width, detunings.size)))
-    for lo in range(0, detunings.size, width):
-        x = np.multiply.outer(centres, two_omega[lo:lo + width])
-        y = np.multiply.outer(two_omega[lo:lo + width], offsets)
-        x_table = np.stack([np.cos(x), np.sin(x)])
-        y_table = np.stack([np.cos(y), np.sin(y)])
-        for r in range(0, len(c), batch):
-            scaled = x_table * c[r:r + batch, None, None, lo:lo + width]
-            if lo == 0:
-                np.matmul(scaled, y_table, out=acc[r:r + batch])
-            else:
-                acc[r:r + batch] += scaled @ y_table
+    batch = max(1, _KERNEL_BLOCK // max(1, 2 * n_coarse * min(width, k)))
+    stack = max(1, _KERNEL_BLOCK // (min(width, k) * (n_coarse + half + 1)))
+    bounds = np.searchsorted(of, np.arange(len(two_omega) + 1)).tolist()
+    for lo in range(0, k, width):
+        for g0 in range(0, len(two_omega), stack):
+            part = two_omega[g0:g0 + stack, lo:lo + width]
+            # [group, cos | sin, ...], each written in place
+            x_tables = np.empty((len(part), 2, n_coarse, part.shape[1]))
+            y_tables = np.empty((len(part), 2, part.shape[1], half + 1))
+            for tables, phase in ((x_tables, centres[:, None] * part[:, None, :]),
+                                  (y_tables, part[:, :, None] * offsets)):
+                np.cos(phase, out=tables[:, 0])
+                np.sin(phase, out=tables[:, 1])
+            for g, x_table, y_table in zip(range(g0, g0 + stack), x_tables, y_tables):
+                for r in range(bounds[g], bounds[g + 1], batch):
+                    e = min(r + batch, bounds[g + 1])
+                    scaled = x_table * c[r:e, None, None, lo:lo + width]
+                    if lo == 0:
+                        np.matmul(scaled, y_table, out=acc[r:e])
+                    else:
+                        acc[r:e] += scaled @ y_table
     # offsets -h..-1 take even + odd, offsets 0..h take even - odd
     even, odd = acc[:, 0], acc[:, 1]
     p = np.empty((len(c), n_coarse, n_fine))
@@ -276,20 +351,21 @@ def _rabi_scan(J: float, detunings: np.ndarray, weights: np.ndarray,
     return p.reshape(len(c), -1)[:, :steps]
 
 
-def _uniform_scan(J: float, detunings: np.ndarray, weights: np.ndarray,
-                  t_min: float, t_max: float, steps: int) -> tuple[np.ndarray, float, np.ndarray]:
+def _uniform_scan(J, detunings: np.ndarray, weights: np.ndarray, t_min: float,
+                  t_max: float, steps: int,
+                  of: np.ndarray | None = None) -> tuple[np.ndarray, float, np.ndarray]:
     """(ts, dt, P): the uniform grid of a window, its step and every weight
-    row's curve on it, by angle addition (_rabi_scan).
+    row's curve on it, by angle addition (_rabi_scan; of as there).
 
     ts is np.linspace(t_min, t_max, steps), bit for bit, and dt is
     (t_max - t_min)/(steps - 1), or 0 for fewer than two steps.  P[r, j] is
     within 8 eps (|J| t_max + 1) of the direct kernel at ts[j]
     (sweeps._scan_tolerance).  The one grid of the peak engine's coarse
-    scan (sweeps._group_peaks) and of the CLI's curve commands.
+    scan (sweeps._stack_peaks) and of the CLI's curve commands.
     """
     dt = (t_max - t_min) / (steps - 1) if steps > 1 else 0.0
     return (np.linspace(t_min, t_max, steps), dt,
-            _rabi_scan(J, detunings, weights, t_min, dt, steps))
+            _rabi_scan(J, detunings, weights, t_min, dt, steps, of))
 
 
 def p12_thermal_jm(config: SystemConfig, t):

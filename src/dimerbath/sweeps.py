@@ -22,8 +22,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import ConfigValidationError, SystemConfig, ThermalSpec, validated
-from .dynamics import (_detuning_groups, _ground_branch, _rabi_average_paired,
-                       _rabi_slopes, _uniform_scan, delta0_correlated, p12)
+from .dynamics import (_KERNEL_BLOCK, _detuning_groups, _ground_branch,
+                       _rabi_average_paired, _rabi_slopes, _uniform_scan,
+                       delta0_correlated, p12)
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _EPS = float(np.finfo(float).eps)
@@ -62,7 +63,7 @@ def _zero_temp_peak(config: SystemConfig, window: TimeWindow) -> tuple[float, fl
     time at or after t_min is t* if it is at most t_max; otherwise the curve
     has no peak in the window and the better end is t*, with P* from p12.
     Where J^2 underflows to 0, A is 0, so P is 0 throughout and t* is
-    t_min, as at finite temperature (_group_peaks).
+    t_min, as at finite temperature (_finite_peaks).
     """
     J = config.dimer.J
     if J * J == 0.0:
@@ -140,11 +141,13 @@ def _newton_max(slopes, t: np.ndarray, a: np.ndarray, b: np.ndarray,
     `iterations` steps, and follows the same steps as it would on its own.
     Returns (t, bracketed).
     """
-    everyone = np.arange(t.size)
-    d1, d2 = slopes(everyone, t)
+    n = t.size
+    everyone = np.arange(n)
+    # P' at t and at both ends in one call; the far end is where P'(t) points
+    d1, d2 = slopes(np.tile(everyone, 3), np.concatenate([t, a, b]))
+    d1, d2, at_a, at_b = d1[:n], d2[:n], d1[n:2 * n], d1[2 * n:]
     up = d1 > 0
-    far, _ = slopes(everyone, np.where(up, b, a))
-    bracketed = np.where(up, far < 0, far > 0)
+    bracketed = np.where(up, at_b < 0, at_a > 0)
     t = t.copy()
     lo, hi = np.where(up, t, a), np.where(up, b, t)
     step = hi - lo
@@ -153,8 +156,8 @@ def _newton_max(slopes, t: np.ndarray, a: np.ndarray, b: np.ndarray,
     d1, d2 = d1[bracketed], d2[bracketed]
     for i in range(iterations):
         x, l, h = t[live], lo[live], hi[live]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newton = x - d1 / d2
+        # the Newton point, used only where P'' < 0
+        newton = x - np.divide(d1, d2, out=np.zeros(d1.shape), where=d2 < 0)
         use = ((d2 < 0) & (newton >= l) & (newton <= h)
                & (np.abs(2.0 * d1) <= np.abs(step_old[live] * d2)))
         x = np.where(use, newton, l + 0.5 * (h - l))
@@ -171,20 +174,21 @@ def _newton_max(slopes, t: np.ndarray, a: np.ndarray, b: np.ndarray,
     return t, bracketed
 
 
-def _scan_tolerance(J: float, window: TimeWindow) -> float:
-    """Bound on |_rabi_scan - direct kernel| over the window.
+def _scan_tolerance(J, window: TimeWindow):
+    """Bound on |_rabi_scan - direct kernel| over the window, for each J.
 
     Both round the phase 2 omega t to a few ulp; through the amplitude
     J^2/omega^2 that moves P by at most a few eps |J| t.
     """
     t_end = max(abs(window.t_min), abs(window.t_max))
-    return 8.0 * _EPS * (abs(J) * t_end + 1.0)
+    return 8.0 * _EPS * (np.abs(J) * t_end + 1.0)
 
 
-def _candidates(J: float, omega: np.ndarray, weights: np.ndarray,
-                p: np.ndarray, p_best: np.ndarray, dt: float, tol: float):
+def _candidates(J: np.ndarray, omega: np.ndarray, weights: np.ndarray,
+                p: np.ndarray, p_best: np.ndarray, dt: float, tol: np.ndarray):
     """(rows, cols) of the coarse local maxima that could beat their row's best.
 
+    Row r has its own J[r], omega[r], weights[r] and scan tolerance tol[r].
     P over a sample's +-dt interval is bounded two ways.  M2 = 2 J^2 bounds
     |P''|, so P there is at most the local maximum + M2 dt^2/8.  Inside the
     grid, P is also at most the top of the parabola through the three
@@ -193,74 +197,115 @@ def _candidates(J: float, omega: np.ndarray, weights: np.ndarray,
     _BOUND_SLACK, is below its row's best sample cannot end above the
     row's result, so dropping it changes no result.
     """
-    padded = np.pad(p, ((0, 0), (1, 1)), constant_values=-np.inf)
-    before, after = padded[:, :-2], padded[:, 2:]
-    rows, cols = np.nonzero((p >= before) & (p >= after))
-    mid, left, right = p[rows, cols], before[rows, cols], after[rows, cols]
+    # samples at least their neighbours, the grid padded with -inf
+    last = p.shape[1] - 1
+    peak = np.ones(p.shape, dtype=bool)
+    np.greater_equal(p[:, 1:], p[:, :-1], out=peak[:, 1:])
+    peak[:, :-1] &= p[:, :-1] >= p[:, 1:]
+    # flat indices, in np.nonzero's order: a 2-D nonzero takes 4x as long
+    rows, cols = np.divmod(np.flatnonzero(peak), p.shape[1])
+    mid, left, right = p[rows, cols], p[rows, cols - 1], p[rows, np.minimum(cols + 1, last)]
+    left[cols == 0] = right[cols == last] = -np.inf
     m3 = 4.0 * J * J * (weights * omega).sum(axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         curvature = 2.0 * mid - left - right
         lift = np.where(curvature > 0, (right - left) ** 2 / (8.0 * curvature), 0.0)
     lift = lift + m3[rows] * dt ** 3 / (9.0 * math.sqrt(3.0))
     # at the grid's edges only the first bound holds (lift is nan there)
-    lift = np.fmin(J * J * dt * dt / 4.0, lift)
-    keep = mid + lift + 3.0 * tol + _BOUND_SLACK >= p_best[rows]
+    j = J[rows]
+    lift = np.fmin(j * j * dt * dt / 4.0, lift)
+    keep = mid + lift + 3.0 * tol[rows] + _BOUND_SLACK >= p_best[rows]
     return rows[keep], cols[keep]
 
 
-def _group_peaks(J: float, detunings: np.ndarray, weights: np.ndarray,
-                 window: TimeWindow) -> list[tuple[float, float]]:
-    """(t*, P*) of every weight row over one shared detuning set.
+def _finite_peaks(groups, window: TimeWindow):
+    """(cell, (t*, P*)) of every cell of the groups (_detuning_groups).
+
+    Groups of equal detuning count K are stacked and take one pass of the
+    peak engine (_stack_peaks) between them.  Where J^2 underflows to 0,
+    every amplitude J^2/omega^2 is 0, so P is 0 throughout and t* is t_min,
+    the best sample of a flat scan.  Before any pass, the first group whose
+    fastest sector the coarse grid cannot resolve raises.
+    """
+    dt = (window.t_max - window.t_min) / (window.coarse_steps - 1)
+    stacks = {}
+    for J, detunings, cells, weights in groups:
+        if J * J == 0.0:
+            yield from ((i, (window.t_min, 0.0)) for i in cells)
+            continue
+        # sqrt(J^2 + D^2) rounds monotonically in |D|: its largest D is an end
+        d = max(-detunings[0], detunings[-1])
+        omega_max = math.sqrt(J * J + d * d)
+        if dt > math.pi / omega_max / 4.0:
+            raise ValueError(
+                f"coarse step {dt:.3g} ps cannot resolve the fastest sector "
+                f"frequency {omega_max:.3g} ps^-1; need more coarse_steps")
+        stacks.setdefault(detunings.size, []).append((J, detunings, cells, weights))
+    for stack in stacks.values():
+        J, detunings, cells, weights = zip(*stack)
+        of = np.repeat(np.arange(len(stack)), [len(c) for c in cells])
+        t, p = _stack_peaks(np.array(J), np.stack(detunings), np.concatenate(weights),
+                            of, window)
+        yield from zip(itertools.chain(*cells), zip(t.tolist(), p.tolist()))
+
+
+def _stack_peaks(J: np.ndarray, detunings: np.ndarray, weights: np.ndarray,
+                 of: np.ndarray, window: TimeWindow) -> tuple[np.ndarray, np.ndarray]:
+    """(t*, P*) of every weight row, row r over the J and detunings of group of[r].
 
     The coarse scan (_uniform_scan) only picks candidates: the coarse local
     maxima whose interval could hold a peak above the row's best sample
-    (_candidates).  Each candidate is refined within +-dt: by safeguarded
-    Newton on the closed-form P' where P' changes sign next to it, by
-    golden section otherwise (a peak at the window's edge, say).  A row's
-    P* is the direct kernel (_rabi_average_paired) at its best refined
-    point, or at its best coarse sample when no refined point is higher.
-    Where J^2 underflows to 0, every amplitude J^2/omega^2 is 0, so P is 0
-    throughout and every row's t* is t_min, the best sample of a flat scan.
+    (_candidates).  Scan and pick run on blocks of rows whose samples are
+    at most _KERNEL_BLOCK, so that a block is read while in cache.  Each
+    candidate is refined within +-dt: by safeguarded Newton on the
+    closed-form P' where P' changes sign next to it, by golden section
+    otherwise (a peak at the window's edge, say).  A row's P* is the direct
+    kernel (_rabi_average_paired) at its best refined point, or at its best
+    coarse sample when no refined point is higher.  The refinement and the
+    direct kernel each run once over every row; a row's values depend on
+    its own row and group alone.
     """
-    if J * J == 0.0:
-        return [(window.t_min, 0.0)] * len(weights)
-    omega = np.sqrt(J * J + detunings * detunings)
-    omega_max = float(omega.max())
-    ts, dt, p = _uniform_scan(J, detunings, weights, window.t_min, window.t_max,
-                              window.coarse_steps)
-    # the coarse grid has to resolve the fastest sector oscillation
-    if dt > math.pi / omega_max / 4.0:
-        raise ValueError(
-            f"coarse step {dt:.3g} ps cannot resolve the fastest sector "
-            f"frequency {omega_max:.3g} ps^-1; need more coarse_steps")
-    n = len(p)
-    i_best = p.argmax(axis=1)
-    rows, cols = _candidates(J, omega, weights, p, p[np.arange(n), i_best],
-                             dt, _scan_tolerance(J, window))
+    n = len(weights)
+    omega = np.sqrt(J[:, None] * J[:, None] + detunings * detunings)
+    tol = _scan_tolerance(J, window)
+    best, rows, times = np.empty(n), [], []
+    block = max(1, _KERNEL_BLOCK // window.coarse_steps)
+    for lo in range(0, n, block):
+        g = of[lo:lo + block]
+        ts, dt, p = _uniform_scan(J[g[0]:g[-1] + 1], detunings[g[0]:g[-1] + 1],
+                                  weights[lo:lo + block], window.t_min, window.t_max,
+                                  window.coarse_steps, g - g[0])
+        i_best = p.argmax(axis=1)
+        best[lo:lo + block] = ts[i_best]
+        r, cols = _candidates(J[g], omega[g], weights[lo:lo + block], p,
+                              p[np.arange(len(p)), i_best], dt, tol[g])
+        rows.append(r + lo)
+        times.append(ts[cols])
+    rows = np.concatenate(rows)
     # every row's best sample, then its refined candidates: the stable sort
     # keeps the first highest value, so a refined point must beat the sample
     row = np.concatenate([np.arange(n), rows])
-    t = np.concatenate([ts[i_best], _refine(J, detunings, weights, rows, ts[cols],
-                                            dt, window)])
-    p_all = _rabi_average_paired(J, detunings, weights, row, t)
+    t = np.concatenate([best, _refine(J, detunings, weights, of, rows,
+                                      np.concatenate(times), dt, window)])
+    p_all = _rabi_average_paired(J, detunings, weights, row, t, of=of)
     order = np.lexsort((-p_all, row))
     first = order[np.searchsorted(row[order], np.arange(n))]
-    return list(zip(t[first].tolist(), p_all[first].tolist()))
+    return t[first], p_all[first]
 
 
-def _refine(J, detunings, weights, rows, t, dt, window) -> np.ndarray:
+def _refine(J, detunings, weights, of, rows, t, dt, window) -> np.ndarray:
     """Refined peak time of every candidate (rows[i], t[i]) within +-dt."""
     a = np.maximum(window.t_min, t - dt)
     b = np.minimum(window.t_max, t + dt)
 
     def slopes(live, x):
-        return _rabi_slopes(J, detunings, weights, rows[live], x)
+        return _rabi_slopes(J, detunings, weights, rows[live], x, of)
 
     out, bracketed = _newton_max(slopes, t, a, b, _REFINE_ITERATIONS)
     rest = ~bracketed
     if rest.any():
         out[rest], _ = _golden_max(
-            lambda x: _rabi_average_paired(J, detunings, weights, rows[rest], x),
+            lambda x: _rabi_average_paired(J, detunings, weights, rows[rest], x, of=of),
             a[rest], b[rest], _REFINE_ITERATIONS)
     return out
 
@@ -279,7 +324,7 @@ def _cell_configs(config: SystemConfig, names, values):
         yield _apply_parameter(config, **{f: x for fs, x in zip(fields, cell) for f in fs})
 
 
-def _cells(config: SystemConfig, names, values, one_config, one_group):
+def _cells(config: SystemConfig, names, values, one_config, finite):
     """Yield (i, result) for the i-th cell (C order) of the grid the axes span.
 
     No axes make config the one cell.  This is the one regime test of the
@@ -287,36 +332,36 @@ def _cells(config: SystemConfig, names, values, one_config, one_group):
     built one at a time.  Finite-temperature cells (a finite-T config, or
     any under a temperature axis) build no config: _detuning_groups groups
     the per-cell fields by detuning set, beta from ThermalSpec.kelvin as a
-    cell's config gets it, and one_group(J, detunings, weights) gives a
-    group's results, one per weight row, whatever cells come with them.
+    cell's config gets it, and finite(groups) yields (i, result) for their
+    cells, a cell's result whatever cells come with it.
     """
     if "temperature" not in names and config.thermal.is_zero_temperature:
         for i, cfg in enumerate(_cell_configs(config, names, values)):
             yield i, one_config(cfg)
         return
-    cells = {field: grid.ravel() for name, grid in zip(names, np.meshgrid(*values, indexing="ij"))
+    cells = {field: grid.ravel() for name, grid in zip(names, np.meshgrid(*values, indexing="ij", copy=False))
              for field in _FIELDS[name]}
     if "temperature" in cells:
         cells["beta"] = np.array([ThermalSpec.kelvin(T).beta
                                   for T in cells.pop("temperature").tolist()])
-    for J, detunings, members, weights in _detuning_groups(config, **cells):
-        yield from zip(members, one_group(J, detunings, weights))
+    yield from finite(_detuning_groups(config, **cells))
 
 
 def _peaks(config: SystemConfig, names, values, window: TimeWindow):
     """(i, (t*, P*)) over the window of every cell of the grid (_cells): the
-    closed form at zero temperature, one scan per detuning set otherwise."""
+    closed form at zero temperature, one pass per detuning count otherwise."""
     return _cells(config, names, values, lambda cfg: _zero_temp_peak(cfg, window),
-                  lambda J, detunings, weights: _group_peaks(J, detunings, weights, window))
+                  lambda groups: _finite_peaks(groups, window))
 
 
 def _curves(config: SystemConfig, names, values, ts: np.ndarray):
     """(i, P at the times ts) of every cell of the grid (_cells): at finite
     temperature its own weight row under the kernel call p12 makes for it."""
     return _cells(config, names, values, lambda cfg: p12(cfg, ts),
-                  lambda J, detunings, weights: (
-                      _rabi_average_paired(J, detunings, w[None, :], None, ts, threaded=True)
-                      for w in weights))
+                  lambda groups: (
+                      (i, _rabi_average_paired(J, detunings, w[None, :], None, ts, threaded=True))
+                      for J, detunings, cells, weights in groups
+                      for i, w in zip(cells, weights)))
 
 
 def max_over_time(config: SystemConfig,

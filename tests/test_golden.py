@@ -246,6 +246,20 @@ def test_outputs_equal_the_recorded_ones(tmp_path):
                                        atol=_TOLERANCE, err_msg=name)
 
 
+def _change(new, kept) -> str:
+    """How a moved numeric entry moved: its changed values and their max |delta|,
+    among the values the npz keeps of it; "" for bytes or a new entry."""
+    if new is None or kept is None:
+        return ""
+    new = _sample(new)
+    if new.shape != kept.shape:
+        return f"(shape {kept.shape} -> {new.shape})"
+    changed = new.view(np.uint64) != kept.view(np.uint64)
+    delta = np.abs(new[changed] - kept[changed])
+    return (f"({int(changed.sum())} of {new.size} kept values changed, "
+            f"max |delta| {delta.max(initial=0.0):.3g})")
+
+
 def _record():
     inputs = _draw_inputs()
     outputs = _outputs(inputs)
@@ -256,9 +270,11 @@ def _record():
     old = GOLDEN / "digests.json"
     if old.exists():
         before = json.loads(old.read_text())["entries"]
+        with np.load(GOLDEN / "values.npz") as npz:
+            stored = dict(npz)
         for name in sorted(entries.keys() | before.keys()):
             if entries.get(name) != before.get(name):
-                print("moved:", name)
+                print("moved:", name, _change(outputs.get(name), stored.get(name)))
     GOLDEN.mkdir(exist_ok=True)
     np.savez_compressed(GOLDEN / "values.npz", **inputs,
                         **{name: _sample(a) for name, a in outputs.items()})

@@ -350,9 +350,9 @@ class TestBatchedEngine:
     def test_axis_values_validated_before_any_kernel_call(self, monkeypatch):
         calls = []
         for name in ("_uniform_scan", "_rabi_average_paired"):
-            def spy(*args, kernel=getattr(sweeps, name)):
+            def spy(*args, kernel=getattr(sweeps, name), **kwargs):
                 calls.append(args)
-                return kernel(*args)
+                return kernel(*args, **kwargs)
             monkeypatch.setattr(sweeps, name, spy)
         cfg = make_config(gamma2=1.0, thermal=ThermalSpec.kelvin(77.0))
         with pytest.raises(ValueError, match="temperature"):
