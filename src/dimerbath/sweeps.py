@@ -339,8 +339,8 @@ def _cells(config: SystemConfig, names, values, one_config, finite):
         for i, cfg in enumerate(_cell_configs(config, names, values)):
             yield i, one_config(cfg)
         return
-    cells = {field: grid.ravel() for name, grid in zip(names, np.meshgrid(*values, indexing="ij", copy=False))
-             for field in _FIELDS[name]}
+    grids = np.meshgrid(*values, indexing="ij", copy=False)
+    cells = {field: grid.ravel() for name, grid in zip(names, grids) for field in _FIELDS[name]}
     if "temperature" in cells:
         cells["beta"] = np.array([ThermalSpec.kelvin(T).beta
                                   for T in cells.pop("temperature").tolist()])

@@ -1,6 +1,8 @@
+import itertools
 import math
 import threading
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -43,6 +45,27 @@ def log_z_sinh_form(N, alpha, beta):
              for two_j in range(N, -1, -2)]
     top = max(terms)
     return top + math.log(sum(math.exp(x - top) for x in terms))
+
+
+def exact_class_merge(config, weights):
+    """(detunings, merged weights) of a finite-temperature config's sectors,
+    merged by exact detuning, written with fractions.
+
+    weights are the flat sector weights (m1 the slower index).  Sectors of
+    exactly equal gap + (gamma2 m2 - gamma1 m1)/2 form a class, which takes
+    its first sector's float detuning; classes of equal float merge, and a
+    merged weight is the sum of its sectors' weights in sector order.
+    """
+    b1, b2 = config.bath1, config.bath2
+    m1s = [(2 * k - b1.N) / 2 for k in range(b1.N + 1)]
+    m2s = [(2 * k - b2.N) / 2 for k in range(b2.N + 1)]
+    first, sums = {}, {}
+    for (m1, m2), w in zip(itertools.product(m1s, m2s), weights.tolist()):
+        exact = Fraction(b2.gamma) * Fraction(m2) - Fraction(b1.gamma) * Fraction(m1)
+        d = first.setdefault(exact, config.gap + (b2.gamma * m2 - b1.gamma * m1) / 2.0)
+        sums[d] = sums.get(d, 0.0) + w
+    detunings = sorted(sums)
+    return np.array(detunings), np.array([sums[d] for d in detunings])
 
 
 def random_config(rng, n_max=5, zero_temp=False, q_zero=False):

@@ -16,7 +16,7 @@ from dimerbath import (GroundStateBranch, ThermalSpec, TimeWindow,
 from dimerbath.cli import main
 from dimerbath.dynamics import (_KERNEL_BLOCK, _detuning_groups, _detunings,
                                 _rabi_average_paired, _rabi_slopes)
-from conftest import make_config, random_config
+from conftest import exact_class_merge, make_config, random_config
 
 BOTH_DOWN = GroundStateBranch(branch="both_down")
 
@@ -378,6 +378,46 @@ def test_underflowing_rabi_frequency_gives_zero(thermal):
     # J^2 + D^2 == 0.0 in floating point while J != 0
     cfg = make_config(eps1=0.0, eps2=0.0, J=1e-170, thermal=thermal)
     assert np.array_equal(p12(cfg, np.linspace(0.0, 2.0, 5)), np.zeros(5))
+
+
+def _coupling_pairs(rng):
+    """Seeded (gamma1, gamma2): equal, one or both zero, -0.0, negative,
+    the exact ratios 2 and 1/3, and generic."""
+    for _ in range(2):
+        g = float(rng.uniform(0.1, 5.0))
+        h = int(rng.integers(1, 80)) / 16.0  # 3 h is exact
+        yield from [(g, g), (-g, -g), (0.0, g), (-0.0, -g), (g, 0.0), (-g, g),
+                    (g, 2.0 * g), (3.0 * h, h), (g, float(rng.uniform(-5.0, 5.0)))]
+    yield 0.0, -0.0
+
+
+def test_exact_detuning_classes_against_a_fraction_witness():
+    # sectors of exactly equal detuning merge however their floats round;
+    # the witness keys them by fractions, in its own loops
+    rng = np.random.default_rng(2610)
+    split = 0  # configs whose floats alone would split a class
+    for gamma1, gamma2 in _coupling_pairs(rng):
+        n1, n2 = (int(n) for n in rng.integers(1, 31, size=2))
+        cfg = make_config(eps1=float(rng.uniform(-30, 30)), eps2=float(rng.uniform(-30, 30)),
+                          J=float(rng.uniform(0.5, 30)), N1=n1, gamma1=gamma1, N2=n2,
+                          gamma2=gamma2, alpha1=float(rng.uniform(1, 300)),
+                          alpha2=float(rng.uniform(1, 300)), q=float(rng.uniform(-20, 40)),
+                          thermal=ThermalSpec.kelvin(float(rng.choice([77.0, 300.0]))))
+        [(_, detunings, _, [row])] = _detuning_groups(cfg)
+        witness = exact_class_merge(cfg, thermal_weights(cfg).normalized().ravel())
+        split += np.unique(sector_detunings(cfg)).size > detunings.size
+        assert (detunings.tobytes(), row.tobytes()) == tuple(a.tobytes() for a in witness)
+        if gamma1 == gamma2 != 0.0:
+            assert detunings.size == n1 + n2 + 1
+        if gamma1 == 0.0 != gamma2:
+            assert detunings.size == n2 + 1
+        if gamma2 == 0.0 != gamma1:
+            assert detunings.size == n1 + 1
+        if gamma1 == gamma2 == 0.0:
+            assert detunings.size == 1
+        ts = np.linspace(0.0, 2.0, 9)
+        np.testing.assert_allclose(p12(cfg, ts), p12_thermal_jm(cfg, ts), rtol=0, atol=1e-13)
+    assert split
 
 
 def test_fuzz_probability_bounds(rng):

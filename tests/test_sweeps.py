@@ -7,7 +7,7 @@ import pytest
 import dimerbath.sweeps as sweeps
 from dimerbath import (ConfigValidationError, ThermalSpec, TimeWindow,
                        max_over_time, p12, p12_thermal, sweep)
-from conftest import make_config
+from conftest import exact_class_merge, make_config
 
 
 class TestMaxOverTime:
@@ -210,6 +210,8 @@ class TestBatchedEngine:
             (zero, [("temperature", [77.0, 300.0]), ("q", qs)]),
             (hot, [("q", qs), ("temperature", [77.0, 300.0])]),
             (beta, [("gamma1", [0.0, -0.0, 1.3]), ("gamma2", [2.9, 0.0])]),
+            # 1, 21, 23, 43 and 483 detunings in one grid
+            (hot, [("gamma1", [0.0, 1.3, 2.9]), ("gamma2", [0.0, 1.3, 2.9])]),
             (hot, [("J", [3.0, -10.0]), ("q", [0.0, 30.0])]),
             (beta, [("q", qs)]),
             (hot, [("temperature", [77.0, 300.0])]),
@@ -225,6 +227,64 @@ class TestBatchedEngine:
                                                for (name, values), i in zip(axes, idx)])
                     assert ((grid.t_star[idx], grid.values[idx])
                             == max_over_time(cell, window))
+
+    def test_headline_sweep_makes_one_pass_per_detuning_count(self, monkeypatch):
+        # gamma = 0 has one detuning and every other gamma_both N1 + N2 + 1;
+        # each count takes one pass with one refinement loop, whose scans
+        # cover its rows once, in blocks of at most _KERNEL_BLOCK samples
+        from dimerbath.dynamics import _KERNEL_BLOCK
+        passes, loops, scanned = [], [], []
+
+        def spy(name, record):
+            real = getattr(sweeps, name)
+
+            def call(*args, **kwargs):
+                record(*args)
+                return real(*args, **kwargs)
+            monkeypatch.setattr(sweeps, name, call)
+        spy("_stack_peaks", lambda J, detunings, weights, of, window: passes.append(
+            (detunings.shape[1], len(weights))))
+        spy("_newton_max", lambda *args: loops.append(len(passes)))
+        spy("_uniform_scan", lambda J, detunings, weights, *args: scanned.append(len(weights)))
+        window = TimeWindow()
+        sweep(make_config(N1=22, N2=20, thermal=ThermalSpec.kelvin(77.0)),
+              [("gamma_both", np.linspace(0.0, 4.0, 41)), ("q", np.linspace(0.0, 40.0, 41))],
+              window)
+        assert sorted(passes) == [(1, 41), (43, 40 * 41)]
+        assert loops == [1, 2]
+        assert sum(scanned) == 41 * 41
+        assert max(scanned) * window.coarse_steps <= _KERNEL_BLOCK
+
+    def test_resolution_guard_names_the_first_failing_group(self):
+        # at 100 steps some groups resolve and some do not, the failing ones
+        # in one pass or in several; the grid raises the message of the
+        # first group of _detuning_groups whose cell raises alone
+        from dimerbath.dynamics import _detuning_groups
+        base = make_config(N1=22, N2=20, thermal=ThermalSpec.kelvin(77.0))
+        window = TimeWindow(coarse_steps=100)
+        for gamma1, gamma2 in (([0.0, 4.0, 8.0],) * 2, ([8.0, 0.0, 4.0],) * 2,
+                               ([0.0, 4.0], [4.0, 0.0, 2.0])):
+            if gamma1 is gamma2:
+                axes = [("gamma_both", gamma1), ("q", [0.0, 30.0])]
+                pairs = list(zip(gamma1, gamma2))
+            else:
+                axes = [("gamma1", gamma1), ("gamma2", gamma2)]
+                pairs = [(g1, g2) for g1 in gamma1 for g2 in gamma2]
+            messages = []
+            g1, g2 = (np.array(g) for g in zip(*pairs))
+            for _, detunings, cells, _ in _detuning_groups(base, gamma1=g1, gamma2=g2):
+                try:
+                    max_over_time(_cell_config(base, [("gamma1", g1[cells[0]]),
+                                                      ("gamma2", g2[cells[0]])]), window)
+                except ValueError as error:
+                    messages.append((str(error), detunings.size))
+            assert len({m for m, _ in messages}) == len(messages) >= 2
+            with pytest.raises(ValueError, match="resolve") as grid_error:
+                sweep(base, axes, window)
+            assert str(grid_error.value) == messages[0][0]
+        # in the last case the first failing group is not in the first or
+        # the smallest pass: (4, 2) has 65 detunings, (4, 4) 43
+        assert [k for _, k in messages] == [65, 43]
 
     def test_weight_rows_and_detuning_sets_built_once_per_distinct_key(self, monkeypatch):
         from dimerbath import dynamics
@@ -276,32 +336,31 @@ class TestBatchedEngine:
 
     def test_cells_get_their_own_configs_detunings_and_weights(self):
         # keys are float bits: a -0.0 coupling keeps its own signed zeros.
-        # The witness merges each cell's own sectors one config at a time,
-        # and the cell alone is a group of one with the same bits.
+        # The witness merges each cell's own sectors by exact detuning, one
+        # config at a time, and the cell alone is a group of one with the
+        # same bits.  1.3 = 2 x 0.65 exactly, so (1.3, 0.65) has ties too
         from dimerbath import thermal_weights
-        from dimerbath.dynamics import _detuning_groups, _detunings
+        from dimerbath.dynamics import _detuning_groups
         base = make_config(eps1=5.0, eps2=5.0, N1=4, N2=3, thermal=ThermalSpec.from_beta(0.01))
-        gamma1 = np.array([0.0, -0.0, 0.0, 1.5, -0.0, 1.5])
-        gamma2 = np.array([-0.0, 0.0, 0.0, 1.5, -0.0, 0.7])
-        q = np.array([0.0, -0.0, 30.0, 0.0, 0.0, 30.0])
+        gamma1 = np.array([0.0, -0.0, 0.0, 1.5, -0.0, 1.5, 1.3, 1.3])
+        gamma2 = np.array([-0.0, 0.0, 0.0, 1.5, -0.0, 0.7, 1.3, 0.65])
+        q = np.array([0.0, -0.0, 30.0, 0.0, 0.0, 30.0, 5.0, 5.0])
         seen = []
         for J, detunings, cells, weights in _detuning_groups(base, gamma1=gamma1,
                                                              gamma2=gamma2, q=q):
             for i, row in zip(cells, weights):
                 cell = _cell_config(base, [("gamma1", gamma1[i]), ("gamma2", gamma2[i]),
                                            ("q", q[i])])
-                tw = thermal_weights(cell)
-                delta = _detunings(cell.gap, cell.bath1.gamma, cell.bath2.gamma, tw.m1, tw.m2)
-                detunings_own, inverse = np.unique(delta, return_inverse=True)
+                detunings_own, row_own = exact_class_merge(
+                    cell, thermal_weights(cell).normalized().ravel())
                 assert J == cell.dimer.J
                 assert detunings.tobytes() == detunings_own.tobytes()
-                assert row.tobytes() == np.bincount(
-                    inverse, weights=tw.normalized().ravel()).tobytes()
+                assert row.tobytes() == row_own.tobytes()
                 [(J_alone, detunings_alone, cells_alone, [row_alone])] = _detuning_groups(cell)
                 assert (J_alone, detunings_alone.tobytes(), cells_alone, row_alone.tobytes()) == (
                     J, detunings.tobytes(), [0], row.tobytes())
                 seen.append(i)
-        assert sorted(seen) == list(range(6))
+        assert sorted(seen) == list(range(8))
 
     def test_weight_row_memory_is_bounded(self):
         import tracemalloc
