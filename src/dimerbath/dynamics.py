@@ -8,7 +8,11 @@ with an effective detuning D, a plain float, set by the bath state.  In the
 magnetization sector (m1, m2) it is gap + (gamma2 m2 - gamma1 m1)/2; finite
 temperature averages the curve over all sectors with their thermal weights,
 and zero temperature takes the ground-state corner's detuning
-(delta0_correlated).
+(delta0_correlated).  Sectors of exactly equal detuning, found by an
+integer key rather than by comparing floats, share one term of the average
+(_merged_detunings).  The kernels take any number of weight rows, each over
+the J and detunings of its own group, so groups with equally many
+detunings are evaluated together.
 """
 
 from __future__ import annotations

@@ -7,10 +7,14 @@ Newton steps on the closed-form P' and P'', with golden section for a
 peak that has no sign change of P' next to it.  The scan only picks
 candidates; every reported P* is the direct kernel at its t*.  P
 factorises as K(t, D) @ W(D; beta, q) over the distinct detunings D, so a
-grid's cells are batched by detuning set, one scan per set, and each
-distinct (beta, q) weight row is built once.  Zero-temperature cells use
-the closed-form peak instead, and a time axis gives each cell its curve;
-_cells is the one place in this module that tells the two regimes apart.
+grid's cells are grouped by detuning set and each distinct (beta, q)
+weight row is built once.  Groups with the same number of detunings are
+stacked and take one pass of the engine (_stack_peaks): scans and
+candidate picks in blocks of rows, then one refinement and one direct
+evaluation over every row, each row over its own group's J and
+detunings.  Zero-temperature cells use the closed-form peak instead, and
+a time axis gives each cell its curve; _cells is the one place in this
+module that tells the two regimes apart.
 """
 
 from __future__ import annotations
