@@ -193,15 +193,19 @@ def _allowed_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _tables(J, detunings) -> tuple[np.ndarray, np.ndarray]:
-    """(omega^2, J^2/omega^2) of every group: J one value per group (a
-    float is one group), detunings a row per group (a 1-D array is one).
-    J^2 + D^2 underflows to 0 only where P = sin^2(|J| t) does too, and the
-    amplitude is 0 there."""
-    J = np.reshape(J, (-1, 1))
+def _omega2(J, detunings) -> tuple[np.ndarray, np.ndarray]:
+    """(J^2, J^2 + D^2) of every group, as a column and a row per group: J
+    one value per group (a float is one group), detunings a row per group
+    (a 1-D array is one)."""
+    J = np.asarray(J, dtype=float).reshape(-1, 1)
     jj = J * J
-    omega2 = jj + detunings * detunings
-    return omega2, np.divide(jj, omega2, out=np.zeros(omega2.shape), where=omega2 > 0)
+    return jj, jj + detunings * detunings
+
+
+def _amplitudes(jj: np.ndarray, omega2: np.ndarray) -> np.ndarray:
+    """J^2/omega^2; omega^2 underflows to 0 only where P = sin^2(|J| t) does
+    too, and the amplitude is 0 there."""
+    return np.divide(jj, omega2, out=np.zeros(omega2.shape), where=omega2 > 0)
 
 
 def _pick(table: np.ndarray, index) -> np.ndarray:
@@ -215,7 +219,7 @@ def _rabi_average_paired(J, detunings: np.ndarray, weights: np.ndarray,
     """sum_k weights[rows[i], k] K(t[i], D_k) for every i, each at its own time.
 
     K(t, D) = J^2/(J^2 + D^2) * sin^2(t sqrt(J^2 + D^2)), with the J and
-    the detunings of group of[rows[i]] (_tables); of None is one group for
+    the detunings of group of[rows[i]] (_omega2); of None is one group for
     every weight row.  The time axis is cut into blocks of
     _KERNEL_BLOCK // K times, each evaluated in place; threaded (p12's
     curves), two or more blocks run in order on a pool made for the call,
@@ -225,8 +229,8 @@ def _rabi_average_paired(J, detunings: np.ndarray, weights: np.ndarray,
     Each value is the pairwise sum of its own row, so it depends on neither
     other t, nor other rows or groups, nor threads.
     """
-    omega2, amp = _tables(J, detunings)
-    omega = np.sqrt(omega2)
+    jj, omega2 = _omega2(J, detunings)
+    amp, omega = _amplitudes(jj, omega2), np.sqrt(omega2)
     out = np.empty(t.size)
     step = max(1, _KERNEL_BLOCK // omega.shape[1])
 
@@ -268,9 +272,8 @@ def _rabi_slopes(J, detunings: np.ndarray, weights: np.ndarray, rows: np.ndarray
     of one row is broadcast and each value depends on its own entry only;
     the blocks run on this thread.
     """
-    J = np.reshape(J, -1)
-    omega2, _ = _tables(J, detunings)
-    omega = np.sqrt(omega2)
+    J = np.asarray(J, dtype=float).reshape(-1)
+    omega = np.sqrt(_omega2(J, detunings)[1])
     slope, curvature = np.empty(t.size), np.empty(t.size)
     step = max(1, _KERNEL_BLOCK // omega.shape[1])
     for lo in range(0, t.size, step):
@@ -281,7 +284,8 @@ def _rabi_slopes(J, detunings: np.ndarray, weights: np.ndarray, rows: np.ndarray
         w = _pick(weights, r)
         slope[block] = (w * (np.sin(phase) / om)).sum(axis=-1)
         curvature[block] = (w * np.cos(phase)).sum(axis=-1)
-    J = _pick(J, None if len(J) == 1 else of[rows])
+    # one group's J as a float, so that J*J is one product, not one per entry
+    J = J.item() if len(J) == 1 else J[of[rows]]
     return J * J * slope, 2.0 * J * J * curvature
 
 
@@ -309,8 +313,8 @@ def _rabi_scan(J, detunings: np.ndarray, weights: np.ndarray,
     (_rabi_average_paired) in absolute, not relative, terms.  No steps give
     an empty row per weight row; dt = 0 gives t0 throughout.
     """
-    omega2, amp = _tables(J, detunings)
-    two_omega = 2.0 * np.sqrt(omega2)
+    jj, omega2 = _omega2(J, detunings)
+    amp, two_omega = _amplitudes(jj, omega2), 2.0 * np.sqrt(omega2)
     of = np.zeros(len(weights), np.intp) if of is None else of
     # B about sqrt(8 steps): the offset tables are the larger, as they are
     # not scaled per row

@@ -148,7 +148,7 @@ def _newton_max(slopes, t: np.ndarray, a: np.ndarray, b: np.ndarray,
     n = t.size
     everyone = np.arange(n)
     # P' at t and at both ends in one call; the far end is where P'(t) points
-    d1, d2 = slopes(np.tile(everyone, 3), np.concatenate([t, a, b]))
+    d1, d2 = slopes(np.concatenate([everyone] * 3), np.concatenate([t, a, b]))
     d1, d2, at_a, at_b = d1[:n], d2[:n], d1[n:2 * n], d1[2 * n:]
     up = d1 > 0
     bracketed = np.where(up, at_b < 0, at_a > 0)
@@ -248,7 +248,7 @@ def _finite_peaks(groups, window: TimeWindow):
     for stack in stacks.values():
         J, detunings, cells, weights = zip(*stack)
         of = np.repeat(np.arange(len(stack)), [len(c) for c in cells])
-        t, p = _stack_peaks(np.array(J), np.stack(detunings), np.concatenate(weights),
+        t, p = _stack_peaks(np.array(J), np.array(detunings), np.concatenate(weights),
                             of, window)
         yield from zip(itertools.chain(*cells), zip(t.tolist(), p.tolist()))
 
