@@ -12,13 +12,14 @@ and zero temperature takes the ground-state corner's detuning
 integer key rather than by comparing floats, share one term of the average
 (_merged_detunings).  The kernels take any number of weight rows, each over
 the J and detunings of its own group, so groups with equally many
-detunings are evaluated together.
+detunings are evaluated together; they share one table of J^2, omega and
+amplitudes (_kernel_table) and run their blocks in order on the calling
+thread.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,8 +73,7 @@ def _sector_arrays(config: SystemConfig):
 
 # elements of one (times x detunings) block of the Rabi kernel, and of one
 # block of weight rows; bounds the memory of a call whatever the number of
-# times, detunings or cells: at most one block per thread, so a kernel call
-# holds its output plus at most workers x block
+# times, detunings or cells: a kernel call holds its output plus one block
 _KERNEL_BLOCK = 1 << 16
 
 
@@ -185,27 +185,17 @@ def _detuning_groups(config: SystemConfig, **cells):
             for first, members, slot, detunings, _, _, merged in groups]
 
 
-def _allowed_cpus() -> int:
-    """Number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _omega2(J, detunings) -> tuple[np.ndarray, np.ndarray]:
-    """(J^2, J^2 + D^2) of every group, as a column and a row per group: J
-    one value per group (a float is one group), detunings a row per group
-    (a 1-D array is one)."""
+def _kernel_table(J, detunings) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(J^2, omega, J^2/omega^2) of every group, omega = sqrt(J^2 + D^2): J^2
+    a column, omega and the amplitudes a row per group.  J is one value per
+    group (a float is one group), detunings a row per group (a 1-D array is
+    one).  omega^2 underflows to 0 only where P = sin^2(|J| t) does too, and
+    the amplitude is 0 there."""
     J = np.asarray(J, dtype=float).reshape(-1, 1)
     jj = J * J
-    return jj, jj + detunings * detunings
-
-
-def _amplitudes(jj: np.ndarray, omega2: np.ndarray) -> np.ndarray:
-    """J^2/omega^2; omega^2 underflows to 0 only where P = sin^2(|J| t) does
-    too, and the amplitude is 0 there."""
-    return np.divide(jj, omega2, out=np.zeros(omega2.shape), where=omega2 > 0)
+    omega2 = jj + detunings * detunings
+    return (jj, np.sqrt(omega2),
+            np.divide(jj, omega2, out=np.zeros(omega2.shape), where=omega2 > 0))
 
 
 def _pick(table: np.ndarray, index) -> np.ndarray:
@@ -214,51 +204,34 @@ def _pick(table: np.ndarray, index) -> np.ndarray:
 
 
 def _rabi_average_paired(J, detunings: np.ndarray, weights: np.ndarray,
-                         rows: np.ndarray, t: np.ndarray, threaded: bool = False,
+                         rows: np.ndarray, t: np.ndarray,
                          of: np.ndarray | None = None) -> np.ndarray:
     """sum_k weights[rows[i], k] K(t[i], D_k) for every i, each at its own time.
 
     K(t, D) = J^2/(J^2 + D^2) * sin^2(t sqrt(J^2 + D^2)), with the J and
-    the detunings of group of[rows[i]] (_omega2); of None is one group for
-    every weight row.  The time axis is cut into blocks of
-    _KERNEL_BLOCK // K times, each evaluated in place; threaded (p12's
-    curves), two or more blocks run in order on a pool made for the call,
-    one thread per allowed CPU at most; the peak engine stays serial.  A
-    table of one row is broadcast, not gathered, and with one weight row
-    and one group rows is not read (p12 and time-axis sweeps pass None).
-    Each value is the pairwise sum of its own row, so it depends on neither
-    other t, nor other rows or groups, nor threads.
+    the detunings of group of[rows[i]] (_kernel_table); of None is one
+    group for every weight row.  The time axis is cut into blocks of
+    _KERNEL_BLOCK // K times, evaluated in order in one scratch block on
+    the calling thread.  A table of one row is broadcast, not gathered,
+    and with one weight row and one group rows is not read (p12 and
+    time-axis sweeps pass None).  Each value is the pairwise sum of its
+    own row, so it depends on neither other t, nor other rows or groups.
     """
-    jj, omega2 = _omega2(J, detunings)
-    amp, omega = _amplitudes(jj, omega2), np.sqrt(omega2)
+    _, omega, amp = _kernel_table(J, detunings)
     out = np.empty(t.size)
     step = max(1, _KERNEL_BLOCK // omega.shape[1])
-
-    def run(lo: int):
+    scratch = np.empty((min(step, t.size), omega.shape[1]))
+    for lo in range(0, t.size, step):
         block = slice(lo, lo + step)
         r = None if rows is None else rows[block]
         g = None if len(omega) == 1 else of[r]
-        K = t[block, None] * _pick(omega, g)
+        K = scratch[:t[block].size]
+        np.multiply(t[block, None], _pick(omega, g), out=K)
         np.sin(K, out=K)
         np.square(K, out=K)
         K *= _pick(amp, g)
         K *= _pick(weights, r)
         out[block] = K.sum(axis=-1)
-
-    starts = range(0, t.size, step)
-    workers = min(len(starts), _allowed_cpus()) if threaded and len(starts) > 1 else 1
-    if workers < 2:
-        for lo in starts:
-            run(lo)
-        return out
-    # imported here: concurrent.futures brings in logging, a few ms of
-    # start-up that processes without a long curve do not pay
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(workers) as pool:
-        # reading every result re-raises the first failure; the map then
-        # cancels the blocks not yet started
-        for _ in pool.map(run, starts):
-            pass
     return out
 
 
@@ -272,8 +245,7 @@ def _rabi_slopes(J, detunings: np.ndarray, weights: np.ndarray, rows: np.ndarray
     of one row is broadcast and each value depends on its own entry only;
     the blocks run on this thread.
     """
-    J = np.asarray(J, dtype=float).reshape(-1)
-    omega = np.sqrt(_omega2(J, detunings)[1])
+    jj, omega, _ = _kernel_table(J, detunings)
     slope, curvature = np.empty(t.size), np.empty(t.size)
     step = max(1, _KERNEL_BLOCK // omega.shape[1])
     for lo in range(0, t.size, step):
@@ -284,9 +256,9 @@ def _rabi_slopes(J, detunings: np.ndarray, weights: np.ndarray, rows: np.ndarray
         w = _pick(weights, r)
         slope[block] = (w * (np.sin(phase) / om)).sum(axis=-1)
         curvature[block] = (w * np.cos(phase)).sum(axis=-1)
-    # one group's J as a float, so that J*J is one product, not one per entry
-    J = J.item() if len(J) == 1 else J[of[rows]]
-    return J * J * slope, 2.0 * J * J * curvature
+    # one group's J^2 as a float, so that it scales the sums in one product
+    jj = jj.item() if len(jj) == 1 else jj[of[rows], 0]
+    return jj * slope, 2.0 * jj * curvature
 
 
 def _rabi_scan(J, detunings: np.ndarray, weights: np.ndarray,
@@ -313,8 +285,8 @@ def _rabi_scan(J, detunings: np.ndarray, weights: np.ndarray,
     (_rabi_average_paired) in absolute, not relative, terms.  No steps give
     an empty row per weight row; dt = 0 gives t0 throughout.
     """
-    jj, omega2 = _omega2(J, detunings)
-    amp, two_omega = _amplitudes(jj, omega2), 2.0 * np.sqrt(omega2)
+    _, omega, amp = _kernel_table(J, detunings)
+    two_omega = 2.0 * omega
     of = np.zeros(len(weights), np.intp) if of is None else of
     # B about sqrt(8 steps): the offset tables are the larger, as they are
     # not scaled per row
@@ -476,12 +448,12 @@ def p12(config: SystemConfig, t):
     detuning merged, or the ground-state branch's detuning at zero
     temperature (q = 0 gives both baths all-down).  One kernel call
     (_rabi_average_paired) evaluates the whole curve, so each value
-    depends on its own t alone, whatever blocks and threads the kernel
-    cuts a long curve into.
+    depends on its own t alone, whatever blocks the kernel cuts a long
+    curve into.
     """
     [(J, detunings, _, w)] = _detuning_groups(config)
     t = np.asarray(t, dtype=float)
-    p = _rabi_average_paired(J, detunings, w, None, t.ravel(), threaded=True).reshape(t.shape)
+    p = _rabi_average_paired(J, detunings, w, None, t.ravel()).reshape(t.shape)
     return float(p) if p.ndim == 0 else p
 
 

@@ -14,7 +14,8 @@ candidate picks in blocks of rows, then one refinement and one direct
 evaluation over every row, each row over its own group's J and
 detunings.  Zero-temperature cells use the closed-form peak instead, and
 a time axis gives each cell its curve; _cells is the one place in this
-module that tells the two regimes apart.
+module that tells the two regimes apart.  Everything runs on the calling
+thread.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import ConfigValidationError, SystemConfig, ThermalSpec, validated
-from .dynamics import (_KERNEL_BLOCK, _detuning_groups, _ground_branch,
+from .dynamics import (_KERNEL_BLOCK, _detuning_groups, _ground_branch, _kernel_table,
                        _rabi_average_paired, _rabi_slopes, _uniform_scan,
                        delta0_correlated, p12)
 
@@ -270,7 +271,7 @@ def _stack_peaks(J: np.ndarray, detunings: np.ndarray, weights: np.ndarray,
     its own row and group alone.
     """
     n = len(weights)
-    omega = np.sqrt(J[:, None] * J[:, None] + detunings * detunings)
+    _, omega, _ = _kernel_table(J, detunings)
     tol = _scan_tolerance(J, window)
     best, rows, times = np.empty(n), [], []
     block = max(1, _KERNEL_BLOCK // window.coarse_steps)
@@ -363,7 +364,7 @@ def _curves(config: SystemConfig, names, values, ts: np.ndarray):
     temperature its own weight row under the kernel call p12 makes for it."""
     return _cells(config, names, values, lambda cfg: p12(cfg, ts),
                   lambda groups: (
-                      (i, _rabi_average_paired(J, detunings, w[None, :], None, ts, threaded=True))
+                      (i, _rabi_average_paired(J, detunings, w[None, :], None, ts))
                       for J, detunings, cells, weights in groups
                       for i, w in zip(cells, weights)))
 
