@@ -6,6 +6,7 @@ test name itself doubles as the pass/fail line under pytest -v.
 """
 
 import functools
+import itertools
 import math
 import time
 
@@ -18,6 +19,7 @@ from dimerbath import (ThermalSpec, TimeWindow, beta_from_kelvin,
                        p12_correlated_zero_temp, p12_thermal, p12_zero_temp,
                        q_threshold, rabi_probability, sweep, thermal_weights,
                        assistance_condition)
+from dimerbath.dynamics import _detuning_groups, _kernel_table
 from conftest import log_z_sinh_form, make_config, random_config, shift_levels
 
 
@@ -303,3 +305,53 @@ def test_diagnostic_headline_maxima_under_inverse_kelvin_convention():
           f"max = {p77:.6f} at 77 K, {p300:.6f} at 300 K")
     assert abs(p77 - 0.99) <= 0.05
     assert abs(p300 - 0.88) <= 0.05
+
+
+# the 12 readings of the headline parameters: beta as hbar/k_B T (the
+# package's), as 1/T[K] or as 1/(0.695 T) (k_B in cm^-1/K); spin operators
+# as S or as sigma = 2 S (alpha and gamma x2, q x4); the gap as given or
+# doubled
+_CONVENTIONS = list(itertools.product(
+    (("hbar/kT", beta_from_kelvin), ("1/T", lambda T: 1.0 / T),
+     ("1/(0.695 T)", lambda T: 1.0 / (0.695 * T))),
+    (("S", 1.0), ("sigma", 2.0)),
+    (("gap", 1.0), ("2 gap", 2.0))))
+
+
+def _headline_bound(N1, N2, temperature_kelvin, beta, spin, gap):
+    """Largest U = sum_k w_k J^2/(J^2 + D_k^2) over the 41 x 41 headline grid.
+
+    U is the time average of 2 P(t) and bounds P(t) at every t >= 0, so no
+    window, refinement or step count can report a P* above it.
+    """
+    cfg = make_config(eps1=0.0, eps2=20.0 * gap, J=10.0,
+                      N1=N1, alpha1=250.0 * spin, N2=N2, alpha2=250.0 * spin,
+                      thermal=ThermalSpec.from_beta(beta(temperature_kelvin)))
+    g, q = (a.ravel() for a in np.meshgrid(spin * np.linspace(0.0, 4.0, 41),
+                                           spin * spin * np.linspace(0.0, 40.0, 41),
+                                           indexing="ij"))
+    return max(float((w @ _kernel_table(J, d)[2][0]).max())
+               for J, d, _, w in _detuning_groups(cfg, gamma1=g, gamma2=g, q=q))
+
+
+def test_diagnostic_criterion_06_bound_under_twelve_conventions():
+    """Criterion 6's targets are out of reach at N1 = 22, N2 = 20 under
+    every convention of _CONVENTIONS: U stays at most 0.52 on both headline
+    grids, so no P* comes within 0.05 of 0.99 or of 0.88.  The swapped
+    sizes are printed for comparison; nothing is asserted about them.
+    """
+    started = time.monotonic()
+    bounds = {(N1, N2): {(b, s, g, T): _headline_bound(N1, N2, T, beta, spin, gap)
+                         for ((b, beta), (s, spin), (g, gap)) in _CONVENTIONS
+                         for T in (77.0, 300.0)}
+              for N1, N2 in ((22, 20), (20, 22))}
+    elapsed = time.monotonic() - started
+    for (N1, N2), u in bounds.items():
+        for T in (77.0, 300.0):
+            at = {key[:3]: v for key, v in u.items() if key[3] == T}
+            worst = max(at, key=at.get)
+            print(f"[diagnostic] N1 = {N1}, N2 = {N2}, {T:g} K: U in "
+                  f"[{min(at.values()):.4f}, {max(at.values()):.4f}], "
+                  f"largest under {', '.join(worst)}")
+    print(f"[diagnostic] 2 x 12 x 2 headline grids in {elapsed:.2f} s")
+    assert max(bounds[22, 20].values()) <= 0.52

@@ -1,7 +1,5 @@
-import concurrent.futures
 import json
 import math
-import sys
 import threading
 import tracemalloc
 
@@ -10,7 +8,7 @@ import pytest
 
 from dimerbath import (GroundStateBranch, ThermalSpec, TimeWindow,
                        assistance_condition, config_to_dict, correlated_ground_state,
-                       delta0_correlated, dynamics, p12, p12_correlated_zero_temp,
+                       delta0_correlated, p12, p12_correlated_zero_temp,
                        p12_thermal, p12_thermal_jm, p12_zero_temp, q_threshold,
                        rabi_probability, resonance_gamma, sweep, sweeps, thermal_weights)
 from dimerbath.cli import main
@@ -459,41 +457,10 @@ def thread_starts(monkeypatch):
     return started
 
 
-@pytest.fixture
-def executors(monkeypatch):
-    """Worker counts of the executors the kernel builds while the test runs."""
-    built = []
-
-    class Spy(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, workers):
-            built.append(workers)
-            super().__init__(workers)
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Spy)
-    return built
-
-
-@pytest.fixture
-def short_switch_interval():
-    """Threads switch every microsecond, so blocks interleave as much as they can."""
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        yield
-    finally:
-        sys.setswitchinterval(interval)
-
-
-def _allow_cpus(monkeypatch, n):
-    monkeypatch.setattr(dynamics.os, "sched_getaffinity", lambda pid: set(range(n)),
-                        raising=False)
-
-
 @pytest.mark.parametrize("zero_temp", [False, True])
-def test_threaded_curve_equals_the_serial_blocks(rng, monkeypatch, executors,
-                                                short_switch_interval, zero_temp):
-    # a time array cut into threads' blocks has the bits of one thread's
-    # loop, with more threads than this machine may have CPUs
-    _allow_cpus(monkeypatch, 4)
+def test_multi_block_curve_equals_the_serial_blocks(rng, zero_temp):
+    # a time array of several kernel blocks has the bits of a loop over
+    # one-block calls, flat, as a 2-D array and one time at a time
     cfg = random_config(rng, n_max=8, zero_temp=zero_temp)
     step = _block_step(cfg)
     for size in (0, 1, step - 1, step, step + 1, 7 * step + 3):
@@ -509,64 +476,29 @@ def test_threaded_curve_equals_the_serial_blocks(rng, monkeypatch, executors,
         for k in rng.integers(0, size, size=min(size, 5)):
             value = p12(cfg, float(ts[k]))
             assert type(value) is float and value == witness[k]
-    # step + 1, then 7 step + 3 times, each flat and as a 2-D array
-    assert executors == [2, 2, 4, 4]
 
 
-def test_one_allowed_cpu_gives_the_same_bits_and_no_thread(rng, monkeypatch, thread_starts):
-    cfg = random_config(rng, n_max=8)
-    ts = rng.uniform(0.0, 20.0, size=5 * _block_step(cfg) + 1)
-    _allow_cpus(monkeypatch, 1)
-    p = p12(cfg, ts)
+def test_multi_block_curves_start_no_thread(tmp_path, thread_starts):
+    # p12 at K = 43 and at zero T, and a finite-T time-axis sweep from the
+    # CLI, each several kernel blocks long
+    finite = make_config(N1=22, gamma1=1.3, N2=20, gamma2=1.3,
+                         thermal=ThermalSpec.kelvin(77.0))
+    step = _block_step(finite)
+    assert step == _KERNEL_BLOCK // 43
+    p12(finite, np.linspace(0.0, 1.3, 7 * step + 3))
+    zero = make_config(N1=22, gamma1=1.3, N2=20, gamma2=1.3)
+    assert _block_step(zero) == _KERNEL_BLOCK
+    p12(zero, np.linspace(0.0, 1.3, 3 * _KERNEL_BLOCK + 7))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config_to_dict(finite)))
+    assert main(["sweep", "--config", str(path), "--axis", "t=0:1.3:5000",
+                 "--axis", "q=0:40:3", "--out", str(tmp_path / "grid.csv")]) == 0
     assert thread_starts == []
-    assert p.tobytes() == _serial_blocks(cfg, ts).tobytes()
 
 
-def test_one_block_curve_builds_no_executor(rng, monkeypatch, executors, thread_starts):
-    asked = []
-    monkeypatch.setattr(dynamics.os, "sched_getaffinity",
-                        lambda pid: asked.append(pid) or {0, 1, 2, 3})
-    cfg = random_config(rng, n_max=8)
-    for size in (0, 1, 2, _block_step(cfg)):
-        p12(cfg, np.linspace(0.0, 2.0, size))
-    assert executors == [] and thread_starts == [] and asked == []
-
-
-class ChunkFailure(Exception):
-    pass
-
-
-def test_error_in_one_block_reaches_the_caller_and_no_thread_stays(rng, monkeypatch,
-                                                                   executors):
-    _allow_cpus(monkeypatch, 4)
-    cfg = random_config(rng, n_max=8)
-    step = _block_step(cfg)
-    ts = np.linspace(0.0, 2.0, 6 * step)
-    # every Rabi frequency is positive, so only the fourth block's phases are negative
-    ts[3 * step:4 * step] = -1.0
-    failure = ChunkFailure("block 3")
-
-    class FailingNumpy:
-        """dynamics' np, whose sin fails inside the kernel's fourth block."""
-        def __getattr__(self, name):
-            return getattr(np, name)
-
-        def sin(self, x, *args, **kwargs):
-            if x.size and x.flat[0] < 0:
-                raise failure
-            return np.sin(x, *args, **kwargs)
-    monkeypatch.setattr(dynamics, "np", FailingNumpy())
-    before = set(threading.enumerate())
-    with pytest.raises(ChunkFailure) as caught:
-        p12(cfg, ts)
-    assert caught.value is failure and executors == [4]
-    assert set(threading.enumerate()) == before
-
-
-def test_long_curve_holds_its_output_and_one_block(monkeypatch):
-    # on one CPU a 1e5-point curve needs its output and one kernel block
-    # at a time, with no per-time row index or gathered weight block
-    _allow_cpus(monkeypatch, 1)
+def test_long_curve_holds_its_output_and_one_block():
+    # a 1e5-point curve needs its output and one kernel block at a time,
+    # with no per-time row index or gathered weight block
     cfg = make_config(N1=22, gamma1=1.0, N2=20, gamma2=1.0, q=30.0,
                       thermal=ThermalSpec.kelvin(77.0))
     ts = np.linspace(0.0, 2.0, 100_000)
@@ -592,9 +524,7 @@ def test_one_weight_row_has_the_bits_of_the_per_time_gather(rng, kernel):
         assert np.array(broadcast).tobytes() == np.array(gathered).tobytes()
 
 
-def test_peak_sweeps_and_oracle_check_start_no_thread(monkeypatch, tmp_path, thread_starts,
-                                                      executors):
-    _allow_cpus(monkeypatch, 4)
+def test_peak_sweeps_and_oracle_check_start_no_thread(tmp_path, thread_starts):
     window = TimeWindow(t_min=0.0, t_max=2.0, coarse_steps=2000)
     finite = make_config(N1=22, N2=20, gamma1=1.0, gamma2=1.0,
                          thermal=ThermalSpec.kelvin(77.0))
@@ -605,13 +535,11 @@ def test_peak_sweeps_and_oracle_check_start_no_thread(monkeypatch, tmp_path, thr
     path.write_text(json.dumps(config_to_dict(finite)))
     assert main(["oracle-check", "--config", str(path), "--n1", "3", "--n2", "3",
                  "--points", "50"]) == 0
-    assert thread_starts == [] and executors == []
+    assert thread_starts == []
 
 
-def test_peak_engine_stays_serial_past_one_block(monkeypatch, thread_starts, executors):
-    # a pool per golden-section probe slowed a large-N sweep, so no peak-engine
-    # kernel call builds one, however many blocks it holds
-    _allow_cpus(monkeypatch, 4)
+def test_peak_engine_stays_serial_past_one_block(monkeypatch, thread_starts):
+    # peak-engine kernel calls of several blocks run them on the calling thread
     blocks, kernel = [], sweeps._rabi_average_paired
 
     def spy(J, detunings, weights, rows, t, **kwargs):
@@ -631,7 +559,7 @@ def test_peak_engine_stays_serial_past_one_block(monkeypatch, thread_starts, exe
     sweep(large, [("temperature", [77.0, 150.0, 300.0, 500.0])],
           TimeWindow(t_max=0.05, coarse_steps=200))
     assert sum(b > 1 for b in blocks[1:]) > 10
-    assert thread_starts == [] and executors == []
+    assert thread_starts == []
 
 
 def _longdouble_curve(J, detunings, weights, ts):
