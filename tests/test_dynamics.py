@@ -8,7 +8,7 @@ import pytest
 
 from dimerbath import (GroundStateBranch, ThermalSpec, TimeWindow,
                        assistance_condition, config_to_dict, correlated_ground_state,
-                       delta0_correlated, p12, p12_correlated_zero_temp,
+                       delta0_correlated, dynamics, p12, p12_correlated_zero_temp,
                        p12_thermal, p12_thermal_jm, p12_zero_temp, q_threshold,
                        rabi_probability, resonance_gamma, sweep, sweeps, thermal_weights)
 from dimerbath.cli import main
@@ -494,6 +494,39 @@ def test_multi_block_curves_start_no_thread(tmp_path, thread_starts):
     assert main(["sweep", "--config", str(path), "--axis", "t=0:1.3:5000",
                  "--axis", "q=0:40:3", "--out", str(tmp_path / "grid.csv")]) == 0
     assert thread_starts == []
+
+
+class ChunkFailure(Exception):
+    pass
+
+
+def test_error_in_one_block_reaches_the_caller_and_no_thread_stays(rng, monkeypatch,
+                                                                   thread_starts):
+    cfg = random_config(rng, n_max=8)
+    step = _block_step(cfg)
+    ts = np.linspace(0.0, 2.0, 6 * step)
+    # every Rabi frequency is positive, so only the fourth block's phases are negative
+    ts[3 * step:4 * step] = -1.0
+    failure = ChunkFailure("block 3")
+    blocks = []
+
+    class FailingNumpy:
+        """dynamics' np, whose sin fails inside the kernel's fourth block."""
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def sin(self, x, *args, **kwargs):
+            blocks.append(x.shape[0])
+            if x.size and x.flat[0] < 0:
+                raise failure
+            return np.sin(x, *args, **kwargs)
+    monkeypatch.setattr(dynamics, "np", FailingNumpy())
+    before = set(threading.enumerate())
+    with pytest.raises(ChunkFailure) as caught:
+        p12(cfg, ts)
+    # the blocks run in order, so the fourth one fails and no later one starts
+    assert caught.value is failure and blocks == [step] * 4
+    assert thread_starts == [] and set(threading.enumerate()) == before
 
 
 def test_long_curve_holds_its_output_and_one_block():
