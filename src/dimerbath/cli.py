@@ -21,8 +21,8 @@ import numpy as np
 from . import __version__
 from .config import (ConfigValidationError, SystemConfig, config_to_dict,
                      load_config, validated)
-from .dynamics import (_check_regime, _detuning_groups, _ground_branch, _uniform_scan,
-                       assistance_condition, p12, q_threshold, resonance_gamma)
+from .dynamics import (_check_regime, _detuning_groups, _ground_branch, _kernel_table,
+                       _uniform_scan, assistance_condition, p12, q_threshold, resonance_gamma)
 from .oracle import MAX_BATH_SPINS, evolve_probability
 from .sweeps import TimeWindow, max_over_time, sweep
 
@@ -278,14 +278,15 @@ def _add_window_args(p):
 
 def _curve_command(args) -> int:
     """The curve on the window's uniform grid, by angle addition
-    (dynamics._uniform_scan) on the config's one group, after the regime
-    check of the subcommand's p12_<regime>."""
+    (dynamics._uniform_scan) over the kernel table of the config's one
+    group, after the regime check of the subcommand's p12_<regime>."""
     started = time.monotonic()
     _check_options(*_window_checks(args, peaks=False), _writable_out(args))
     config = load_config(args.config)
     _check_regime(config, args.command.replace("-", "_"))
     [(J, detunings, _, w)] = _detuning_groups(config)
-    ts, _, [ps] = _uniform_scan(J, detunings, w, args.t_min, args.t_max, args.steps)
+    ts, _, [ps] = _uniform_scan(_kernel_table(J, detunings), w, args.t_min, args.t_max,
+                                args.steps)
     emit_curve_csv(args.out, ts, ps)
     i = int(ps.argmax()) if len(ps) else 0
     summary = {"t_star": float(ts[i]) if len(ts) else None,

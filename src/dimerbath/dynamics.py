@@ -11,10 +11,10 @@ and zero temperature takes the ground-state corner's detuning
 (delta0_correlated).  Sectors of exactly equal detuning, found by an
 integer key rather than by comparing floats, share one term of the average
 (_merged_detunings).  The kernels take any number of weight rows, each over
-the J and detunings of its own group, so groups with equally many
-detunings are evaluated together; they share one table of J^2, omega and
-amplitudes (_kernel_table) and run their blocks in order on the calling
-thread.
+its own group, so groups with equally many detunings are evaluated
+together; they read J^2, omega and the amplitudes from one table that
+their caller builds for its groups (_kernel_table), and run their blocks
+in order on the calling thread.
 """
 
 from __future__ import annotations
@@ -203,21 +203,20 @@ def _pick(table: np.ndarray, index) -> np.ndarray:
     return table if len(table) == 1 else table[index]
 
 
-def _rabi_average_paired(J, detunings: np.ndarray, weights: np.ndarray,
-                         rows: np.ndarray, t: np.ndarray,
+def _rabi_average_paired(table, weights: np.ndarray, rows: np.ndarray, t: np.ndarray,
                          of: np.ndarray | None = None) -> np.ndarray:
     """sum_k weights[rows[i], k] K(t[i], D_k) for every i, each at its own time.
 
-    K(t, D) = J^2/(J^2 + D^2) * sin^2(t sqrt(J^2 + D^2)), with the J and
-    the detunings of group of[rows[i]] (_kernel_table); of None is one
-    group for every weight row.  The time axis is cut into blocks of
+    K(t, D) = J^2/(J^2 + D^2) * sin^2(t sqrt(J^2 + D^2)), with the omega and
+    amplitudes of group of[rows[i]] in table (_kernel_table); of None is
+    one group for every weight row.  The time axis is cut into blocks of
     _KERNEL_BLOCK // K times, evaluated in order in one scratch block on
     the calling thread.  A table of one row is broadcast, not gathered,
     and with one weight row and one group rows is not read (p12 and
     time-axis sweeps pass None).  Each value is the pairwise sum of its
     own row, so it depends on neither other t, nor other rows or groups.
     """
-    _, omega, amp = _kernel_table(J, detunings)
+    _, omega, amp = table
     out = np.empty(t.size)
     step = max(1, _KERNEL_BLOCK // omega.shape[1])
     scratch = np.empty((min(step, t.size), omega.shape[1]))
@@ -235,17 +234,17 @@ def _rabi_average_paired(J, detunings: np.ndarray, weights: np.ndarray,
     return out
 
 
-def _rabi_slopes(J, detunings: np.ndarray, weights: np.ndarray, rows: np.ndarray,
-                 t: np.ndarray, of: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _rabi_slopes(table, weights: np.ndarray, rows: np.ndarray, t: np.ndarray,
+                 of: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(P', P'') of _rabi_average_paired at every t[i], in closed form.
 
     P' = J^2 sum_k w_k sin(2 omega_k t)/omega_k and
     P'' = 2 J^2 sum_k w_k cos(2 omega_k t), with w = weights[rows[i]] and
-    the J and omega of group of[rows[i]].  As in the paired kernel, a table
-    of one row is broadcast and each value depends on its own entry only;
-    the blocks run on this thread.
+    the J^2 and omega of group of[rows[i]] in table.  As in the paired
+    kernel, a table of one row is broadcast and each value depends on its
+    own entry only; the blocks run on this thread.
     """
-    jj, omega, _ = _kernel_table(J, detunings)
+    jj, omega, _ = table
     slope, curvature = np.empty(t.size), np.empty(t.size)
     step = max(1, _KERNEL_BLOCK // omega.shape[1])
     for lo in range(0, t.size, step):
@@ -261,14 +260,16 @@ def _rabi_slopes(J, detunings: np.ndarray, weights: np.ndarray, rows: np.ndarray
     return jj * slope, 2.0 * jj * curvature
 
 
-def _rabi_scan(J, detunings: np.ndarray, weights: np.ndarray,
-               t0: float, dt: float, steps: int, of: np.ndarray | None = None) -> np.ndarray:
-    """The direct kernel on the uniform grid t0 + j dt, j < steps, by angle addition.
+def _uniform_scan(table, weights: np.ndarray, t_min: float, t_max: float, steps: int,
+                  of: np.ndarray | None = None) -> tuple[np.ndarray, float, np.ndarray]:
+    """(ts, dt, P): the uniform grid of a window, its step and every weight
+    row's curve on it, by angle addition; the one grid of the peak engine's
+    coarse scan (sweeps._stack_peaks) and of the CLI's curve commands.
 
-    Its callers go through _uniform_scan: the peak engine's coarse scan
-    (sweeps._stack_peaks) and the CLI's curve commands.  Weight row r takes
-    the J and detunings of group of[r], of ascending; of None is one group
-    for every row.
+    ts is np.linspace(t_min, t_max, steps), bit for bit, and dt is
+    (t_max - t_min)/(steps - 1), or 0 for fewer than two steps.  Weight row
+    r takes group of[r] of table (_kernel_table), of ascending; of None is
+    one group for every row.
 
     With c_k = w_k J^2/omega_k^2, P(t) = sum_k c_k/2 - sum_k c_k cos(2 omega_k t)/2.
     The grid is cut into runs of B = 2h + 1 steps around centres T_u, and
@@ -281,11 +282,12 @@ def _rabi_scan(J, detunings: np.ndarray, weights: np.ndarray,
     blocks bound the tables' memory.  A stacked matmul makes one product
     per row, and the blocks depend only on steps and the number of
     detunings, so a row gives the same bits whatever rows and groups it is
-    batched with.  The result agrees with the direct kernel
-    (_rabi_average_paired) in absolute, not relative, terms.  No steps give
-    an empty row per weight row; dt = 0 gives t0 throughout.
+    batched with.  P[r, j] is within 8 eps (|J| t_max + 1), an absolute
+    bound, of the direct kernel at ts[j] (sweeps._scan_tolerance).  No
+    steps give an empty row per weight row; dt = 0 gives t_min throughout.
     """
-    _, omega, amp = _kernel_table(J, detunings)
+    dt = (t_max - t_min) / (steps - 1) if steps > 1 else 0.0
+    _, omega, amp = table
     two_omega = 2.0 * omega
     of = np.zeros(len(weights), np.intp) if of is None else of
     # B about sqrt(8 steps): the offset tables are the larger, as they are
@@ -293,7 +295,7 @@ def _rabi_scan(J, detunings: np.ndarray, weights: np.ndarray,
     half = math.isqrt(8 * steps) // 2
     n_fine = 2 * half + 1
     n_coarse = -(-steps // n_fine)
-    centres = t0 + dt * (half + n_fine * np.arange(n_coarse))
+    centres = t_min + dt * (half + n_fine * np.arange(n_coarse))
     offsets = dt * np.arange(half + 1)
     c = weights * _pick(amp, of)
     k = two_omega.shape[1]
@@ -328,24 +330,7 @@ def _rabi_scan(J, detunings: np.ndarray, weights: np.ndarray,
     np.subtract(even, odd, out=p[:, :, half:])
     np.subtract(c.sum(axis=-1)[:, None, None], p, out=p)
     p *= 0.5
-    return p.reshape(len(c), -1)[:, :steps]
-
-
-def _uniform_scan(J, detunings: np.ndarray, weights: np.ndarray, t_min: float,
-                  t_max: float, steps: int,
-                  of: np.ndarray | None = None) -> tuple[np.ndarray, float, np.ndarray]:
-    """(ts, dt, P): the uniform grid of a window, its step and every weight
-    row's curve on it, by angle addition (_rabi_scan; of as there).
-
-    ts is np.linspace(t_min, t_max, steps), bit for bit, and dt is
-    (t_max - t_min)/(steps - 1), or 0 for fewer than two steps.  P[r, j] is
-    within 8 eps (|J| t_max + 1) of the direct kernel at ts[j]
-    (sweeps._scan_tolerance).  The one grid of the peak engine's coarse
-    scan (sweeps._stack_peaks) and of the CLI's curve commands.
-    """
-    dt = (t_max - t_min) / (steps - 1) if steps > 1 else 0.0
-    return (np.linspace(t_min, t_max, steps), dt,
-            _rabi_scan(J, detunings, weights, t_min, dt, steps, of))
+    return np.linspace(t_min, t_max, steps), dt, p.reshape(len(c), -1)[:, :steps]
 
 
 def p12_thermal_jm(config: SystemConfig, t):
@@ -453,7 +438,7 @@ def p12(config: SystemConfig, t):
     """
     [(J, detunings, _, w)] = _detuning_groups(config)
     t = np.asarray(t, dtype=float)
-    p = _rabi_average_paired(J, detunings, w, None, t.ravel()).reshape(t.shape)
+    p = _rabi_average_paired(_kernel_table(J, detunings), w, None, t.ravel()).reshape(t.shape)
     return float(p) if p.ndim == 0 else p
 
 

@@ -12,10 +12,11 @@ weight row is built once.  Groups with the same number of detunings are
 stacked and take one pass of the engine (_stack_peaks): scans and
 candidate picks in blocks of rows, then one refinement and one direct
 evaluation over every row, each row over its own group's J and
-detunings.  Zero-temperature cells use the closed-form peak instead, and
-a time axis gives each cell its curve; _cells is the one place in this
-module that tells the two regimes apart.  Everything runs on the calling
-thread.
+detunings, from one kernel table per pass (dynamics._kernel_table).
+Zero-temperature cells use the closed-form peak instead, and a time axis
+gives each cell its curve, one table per group; _cells is the one place
+in this module that tells the two regimes apart.  Everything runs on the
+calling thread.
 """
 
 from __future__ import annotations
@@ -146,13 +147,12 @@ def _newton_max(slopes, t: np.ndarray, a: np.ndarray, b: np.ndarray,
     `iterations` steps, and follows the same steps as it would on its own.
     Returns (t, bracketed).
     """
-    n = t.size
-    everyone = np.arange(n)
-    # P' at t and at both ends in one call; the far end is where P'(t) points
-    d1, d2 = slopes(np.concatenate([everyone] * 3), np.concatenate([t, a, b]))
-    d1, d2, at_a, at_b = d1[:n], d2[:n], d1[n:2 * n], d1[2 * n:]
+    everyone = np.arange(t.size)
+    d1, d2 = slopes(everyone, t)
     up = d1 > 0
-    bracketed = np.where(up, at_b < 0, at_a > 0)
+    # P' at the far end only, the end P'(t) points to
+    far, _ = slopes(everyone, np.where(up, b, a))
+    bracketed = np.where(up, far < 0, far > 0)
     t = t.copy()
     lo, hi = np.where(up, t, a), np.where(up, b, t)
     step = hi - lo
@@ -180,7 +180,7 @@ def _newton_max(slopes, t: np.ndarray, a: np.ndarray, b: np.ndarray,
 
 
 def _scan_tolerance(J, window: TimeWindow):
-    """Bound on |_rabi_scan - direct kernel| over the window, for each J.
+    """Bound on |_uniform_scan - direct kernel| over the window, for each J.
 
     Both round the phase 2 omega t to a few ulp; through the amplitude
     J^2/omega^2 that moves P by at most a few eps |J| t.
@@ -266,23 +266,23 @@ def _stack_peaks(J: np.ndarray, detunings: np.ndarray, weights: np.ndarray,
     closed-form P' where P' changes sign next to it, by golden section
     otherwise (a peak at the window's edge, say).  A row's P* is the direct
     kernel (_rabi_average_paired) at its best refined point, or at its best
-    coarse sample when no refined point is higher.  The refinement and the
-    direct kernel each run once over every row; a row's values depend on
-    its own row and group alone.
+    coarse sample when no refined point is higher.  One kernel table serves
+    every group, each scan block takes its rows of it, and the refinement
+    and the direct kernel each run once over every row; a row's values
+    depend on its own row and group alone.
     """
     n = len(weights)
-    _, omega, _ = _kernel_table(J, detunings)
+    table = _kernel_table(J, detunings)
     tol = _scan_tolerance(J, window)
     best, rows, times = np.empty(n), [], []
     block = max(1, _KERNEL_BLOCK // window.coarse_steps)
     for lo in range(0, n, block):
         g = of[lo:lo + block]
-        ts, dt, p = _uniform_scan(J[g[0]:g[-1] + 1], detunings[g[0]:g[-1] + 1],
-                                  weights[lo:lo + block], window.t_min, window.t_max,
-                                  window.coarse_steps, g - g[0])
+        ts, dt, p = _uniform_scan([c[g[0]:g[-1] + 1] for c in table], weights[lo:lo + block],
+                                  window.t_min, window.t_max, window.coarse_steps, g - g[0])
         i_best = p.argmax(axis=1)
         best[lo:lo + block] = ts[i_best]
-        r, cols = _candidates(J[g], omega[g], weights[lo:lo + block], p,
+        r, cols = _candidates(J[g], table[1][g], weights[lo:lo + block], p,
                               p[np.arange(len(p)), i_best], dt, tol[g])
         rows.append(r + lo)
         times.append(ts[cols])
@@ -290,27 +290,27 @@ def _stack_peaks(J: np.ndarray, detunings: np.ndarray, weights: np.ndarray,
     # every row's best sample, then its refined candidates: the stable sort
     # keeps the first highest value, so a refined point must beat the sample
     row = np.concatenate([np.arange(n), rows])
-    t = np.concatenate([best, _refine(J, detunings, weights, of, rows,
+    t = np.concatenate([best, _refine(table, weights, of, rows,
                                       np.concatenate(times), dt, window)])
-    p_all = _rabi_average_paired(J, detunings, weights, row, t, of=of)
+    p_all = _rabi_average_paired(table, weights, row, t, of=of)
     order = np.lexsort((-p_all, row))
     first = order[np.searchsorted(row[order], np.arange(n))]
     return t[first], p_all[first]
 
 
-def _refine(J, detunings, weights, of, rows, t, dt, window) -> np.ndarray:
+def _refine(table, weights, of, rows, t, dt, window) -> np.ndarray:
     """Refined peak time of every candidate (rows[i], t[i]) within +-dt."""
     a = np.maximum(window.t_min, t - dt)
     b = np.minimum(window.t_max, t + dt)
 
     def slopes(live, x):
-        return _rabi_slopes(J, detunings, weights, rows[live], x, of)
+        return _rabi_slopes(table, weights, rows[live], x, of)
 
     out, bracketed = _newton_max(slopes, t, a, b, _REFINE_ITERATIONS)
     rest = ~bracketed
     if rest.any():
         out[rest], _ = _golden_max(
-            lambda x: _rabi_average_paired(J, detunings, weights, rows[rest], x, of=of),
+            lambda x: _rabi_average_paired(table, weights, rows[rest], x, of=of),
             a[rest], b[rest], _REFINE_ITERATIONS)
     return out
 
@@ -364,8 +364,9 @@ def _curves(config: SystemConfig, names, values, ts: np.ndarray):
     temperature its own weight row under the kernel call p12 makes for it."""
     return _cells(config, names, values, lambda cfg: p12(cfg, ts),
                   lambda groups: (
-                      (i, _rabi_average_paired(J, detunings, w[None, :], None, ts))
+                      (i, _rabi_average_paired(table, w[None, :], None, ts))
                       for J, detunings, cells, weights in groups
+                      for table in [_kernel_table(J, detunings)]
                       for i, w in zip(cells, weights)))
 
 
