@@ -74,11 +74,11 @@ def check_curve(path, out, t_min, t_max, steps):
     """The curve CSV's t column is np.linspace bit for bit, its p column the
     uniform-grid scan bit for bit (so %.17g round-trips), and every p is
     within the scan's tolerance of p12 at the printed t."""
-    from dimerbath.dynamics import _detuning_groups, _uniform_scan
+    from dimerbath.dynamics import _detuning_groups, _kernel_table, _uniform_scan
     from dimerbath.sweeps import TimeWindow, _scan_tolerance
     config = load_config(path)
     [(J, detunings, _, w)] = _detuning_groups(config)
-    ts, _, [ps] = _uniform_scan(J, detunings, w, t_min, t_max, steps)
+    ts, _, [ps] = _uniform_scan(_kernel_table(J, detunings), w, t_min, t_max, steps)
     rows = np.array(read_curve(out)).reshape(-1, 2)
     assert rows[:, 0].tobytes() == np.linspace(t_min, t_max, steps).tobytes() == ts.tobytes()
     assert rows[:, 1].tobytes() == ps.tobytes()
@@ -677,7 +677,7 @@ def test_curve_rows_match_p12(config_file, tmp_path, command, overrides, steps, 
 @pytest.mark.parametrize("extra", [-1, 0, 1])
 def test_curve_straddling_a_detuning_block(config_file, tmp_path, extra):
     # equal couplings of 0.5 give N1 + N2 + 1 distinct detunings, each exact,
-    # so no two round apart; at 20000 steps a detuning block of _rabi_scan
+    # so no two round apart; at 20000 steps a detuning block of _uniform_scan
     # holds _KERNEL_BLOCK // (n_coarse + h + 1) of them
     from dimerbath.dynamics import _KERNEL_BLOCK, _detuning_groups
     steps = 20000

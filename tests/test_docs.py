@@ -1,6 +1,7 @@
-"""README names only what the package has, and every CLI subcommand."""
+"""README names only what the package has, every CLI subcommand and the golden gate's size."""
 
 import argparse
+import json
 import re
 from pathlib import Path
 
@@ -53,3 +54,11 @@ def test_readme_cli_section_names_exactly_the_subcommands():
     assert examples <= commands, f"README runs no such subcommand: {examples - commands}"
     named = examples | set(re.findall(r"`([\w-]+)`", section))
     assert commands <= named, f"README's CLI section omits {commands - named}"
+
+
+def test_readme_states_the_golden_gates_entry_count():
+    digests = README.parent / "tests" / "golden" / "digests.json"
+    entries = json.loads(digests.read_text())["entries"]
+    [stated] = re.findall(r"the bit-identity gate: it recomputes (\d+)\s+recorded outputs",
+                          README.read_text())
+    assert int(stated) == len(entries)

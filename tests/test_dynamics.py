@@ -12,7 +12,7 @@ from dimerbath import (GroundStateBranch, ThermalSpec, TimeWindow,
                        p12_thermal, p12_thermal_jm, p12_zero_temp, q_threshold,
                        rabi_probability, resonance_gamma, sweep, sweeps, thermal_weights)
 from dimerbath.cli import main
-from dimerbath.dynamics import (_KERNEL_BLOCK, _detuning_groups, _detunings,
+from dimerbath.dynamics import (_KERNEL_BLOCK, _detuning_groups, _detunings, _kernel_table,
                                 _rabi_average_paired, _rabi_slopes)
 from conftest import exact_class_merge, make_config, random_config
 
@@ -435,7 +435,7 @@ def _serial_blocks(cfg, t):
     p = np.empty(times.size)
     for lo in range(0, times.size, step):
         block = times[lo:lo + step]
-        p[lo:lo + step] = _rabi_average_paired(J, detunings, w,
+        p[lo:lo + step] = _rabi_average_paired(_kernel_table(J, detunings), w,
                                                np.zeros(block.size, dtype=np.intp), block)
     return p
 
@@ -551,9 +551,9 @@ def test_one_weight_row_has_the_bits_of_the_per_time_gather(rng, kernel):
     for _ in range(20):
         [(J, detunings, _, w)] = _detuning_groups(random_config(rng, n_max=12))
         ts = rng.uniform(0.0, 5.0, size=int(rng.integers(1, 3 * _KERNEL_BLOCK // w.size)))
-        gathered = kernel(J, detunings, np.vstack([w, w]),
-                          rng.integers(0, 2, size=ts.size), ts)
-        broadcast = kernel(J, detunings, w, np.broadcast_to(np.intp(0), ts.shape), ts)
+        table = _kernel_table(J, detunings)
+        gathered = kernel(table, np.vstack([w, w]), rng.integers(0, 2, size=ts.size), ts)
+        broadcast = kernel(table, w, np.broadcast_to(np.intp(0), ts.shape), ts)
         assert np.array(broadcast).tobytes() == np.array(gathered).tobytes()
 
 
@@ -575,9 +575,9 @@ def test_peak_engine_stays_serial_past_one_block(monkeypatch, thread_starts):
     # peak-engine kernel calls of several blocks run them on the calling thread
     blocks, kernel = [], sweeps._rabi_average_paired
 
-    def spy(J, detunings, weights, rows, t, **kwargs):
-        blocks.append(-(-t.size // max(1, _KERNEL_BLOCK // detunings.size)))
-        return kernel(J, detunings, weights, rows, t, **kwargs)
+    def spy(table, weights, rows, t, **kwargs):
+        blocks.append(-(-t.size // max(1, _KERNEL_BLOCK // table[1].shape[1])))
+        return kernel(table, weights, rows, t, **kwargs)
     monkeypatch.setattr(sweeps, "_rabi_average_paired", spy)
     # 41 x 41 cells share one detuning set: their P* is one call of 4 blocks
     shared = make_config(N1=22, N2=20, gamma1=1.0, gamma2=1.0,
@@ -614,7 +614,7 @@ def test_scan_and_direct_kernel_against_an_extended_precision_sum(kelvin, gamma,
                       thermal=ThermalSpec.kelvin(kelvin))
     [(J, detunings, _, w)] = _detuning_groups(cfg)
     steps = 100_000
-    ts, _, [scan] = _uniform_scan(J, detunings, w, 0.0, t_max, steps)
+    ts, _, [scan] = _uniform_scan(_kernel_table(J, detunings), w, 0.0, t_max, steps)
     idx = np.unique(np.linspace(0, steps - 1, 1500).astype(int))
     exact = _longdouble_curve(J, detunings, w[0], ts[idx])
     tol = _scan_tolerance(J, TimeWindow(t_max=t_max))

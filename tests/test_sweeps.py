@@ -92,9 +92,10 @@ class TestMaxOverTime:
         assert np.array_equal(grid.values, np.zeros(2))
         assert np.array_equal(grid.t_star, np.full(2, window.t_min))
         if not thermal.is_zero_temperature:
-            from dimerbath.dynamics import _rabi_scan
+            from dimerbath.dynamics import _kernel_table, _uniform_scan
             J, detunings, weights = _group(cfg)
-            scan = _rabi_scan(J, detunings, weights, window.t_min, 1e-3, 50)
+            _, _, scan = _uniform_scan(_kernel_table(J, detunings), weights,
+                                       window.t_min, window.t_max, 50)
             assert np.array_equal(scan, np.zeros((1, 50)))
 
     def test_window_validation(self):
@@ -244,7 +245,7 @@ class TestBatchedEngine:
         spy("_stack_peaks", lambda J, detunings, weights, of, window: passes.append(
             (detunings.shape[1], len(weights))))
         spy("_newton_max", lambda *args: loops.append(len(passes)))
-        spy("_uniform_scan", lambda J, detunings, weights, *args: scanned.append(len(weights)))
+        spy("_uniform_scan", lambda table, weights, *args: scanned.append(len(weights)))
         window = TimeWindow()
         sweep(make_config(N1=22, N2=20, thermal=ThermalSpec.kelvin(77.0)),
               [("gamma_both", np.linspace(0.0, 4.0, 41)), ("q", np.linspace(0.0, 40.0, 41))],
@@ -253,6 +254,46 @@ class TestBatchedEngine:
         assert loops == [1, 2]
         assert sum(scanned) == 41 * 41
         assert max(scanned) * window.coarse_steps <= _KERNEL_BLOCK
+
+    def test_the_owner_of_the_groups_builds_the_kernel_table_once(self, monkeypatch, tmp_path):
+        # one table per peak pass, per group of a time axis, per p12 call and
+        # per curve command; no kernel builds its own
+        import json
+        import dimerbath.cli as cli
+        import dimerbath.dynamics as dynamics
+        from dimerbath import config_to_dict
+        built = []
+
+        def spy(J, detunings):
+            built.append(np.shape(detunings))
+            return table(J, detunings)
+        table = dynamics._kernel_table
+        for module in (dynamics, sweeps, cli):
+            monkeypatch.setattr(module, "_kernel_table", spy)
+        cfg = make_config(N1=22, N2=20, thermal=ThermalSpec.kelvin(77.0))
+        sweep(cfg, [("gamma_both", np.linspace(0.0, 4.0, 41)),
+                    ("q", np.linspace(0.0, 40.0, 41))])
+        assert sorted(built) == [(1, 1), (40, 43)]  # K = 1 and K = 43
+        built.clear()
+        sweep(cfg, [("gamma_both", [0.5, 1.5, 2.5, 3.5]), ("q", [0.0, 10.0, 20.0, 30.0])])
+        assert built == [(4, 43)]
+        built.clear()
+        cfg = make_config(N1=22, gamma1=1.3, N2=20, gamma2=1.3, thermal=ThermalSpec.kelvin(77.0))
+        ts = np.linspace(0.0, 2.0, 50)
+        sweep(cfg, [("t", ts), ("q", np.linspace(0.0, 40.0, 9))])
+        assert built == [(43,)]
+        built.clear()
+        sweep(cfg, [("gamma_both", [0.5, 1.5, 2.5]), ("t", ts)])
+        assert built == [(43,)] * 3
+        built.clear()
+        p12(cfg, np.linspace(0.0, 2.0, 3 * dynamics._KERNEL_BLOCK // 43))
+        assert built == [(43,)]
+        built.clear()
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config_to_dict(cfg)))
+        assert cli.main(["thermal", "--config", str(path),
+                         "--out", str(tmp_path / "curve.csv")]) == 0
+        assert built == [(43,)]
 
     def test_resolution_guard_names_the_first_failing_group(self):
         # at 100 steps some groups resolve and some do not, the failing ones
@@ -497,7 +538,7 @@ class TestNewtonEngine:
     @pytest.mark.parametrize("steps", [2, 3, 800, 2000, 4001])
     @pytest.mark.parametrize("sizes", [(1, 20), (22, 20), (200, 7), (200, 200)])
     def test_scan_matches_direct_kernel(self, steps, sizes):
-        from dimerbath.dynamics import _rabi_scan
+        from dimerbath.dynamics import _kernel_table, _uniform_scan
         from dimerbath.sweeps import _scan_tolerance
         rng = np.random.default_rng(steps)
         # the direct kernel on up to 400 of the samples, ends included
@@ -510,9 +551,10 @@ class TestNewtonEngine:
                               gamma2=gamma * math.sqrt(2.0),
                               q=float(rng.uniform(0.0, 40.0)), thermal=thermal)
             J, detunings, weights = _group(cfg)
-            ts = np.linspace(window.t_min, window.t_max, steps)
-            dt = (window.t_max - window.t_min) / (steps - 1)
-            scan = _rabi_scan(J, detunings, weights, window.t_min, dt, steps)
+            ts, dt, scan = _uniform_scan(_kernel_table(J, detunings), weights,
+                                         window.t_min, window.t_max, steps)
+            assert ts.tobytes() == np.linspace(window.t_min, window.t_max, steps).tobytes()
+            assert dt == (window.t_max - window.t_min) / (steps - 1)
             assert scan.shape == (1, steps)
             err = np.abs(scan[:, idx] - p12_thermal(cfg, ts[idx])).max()
             assert err <= 1e-14
@@ -521,13 +563,15 @@ class TestNewtonEngine:
     @pytest.mark.parametrize("sizes", [(22, 20), (200, 30)])
     def test_scan_rows_do_not_see_each_other(self, sizes):
         # (200, 30) spans several detuning blocks and row batches
-        from dimerbath.dynamics import _detuning_groups, _rabi_scan
+        from dimerbath.dynamics import _detuning_groups, _kernel_table, _uniform_scan
         base = make_config(N1=sizes[0], gamma1=1.3, N2=sizes[1],
                            gamma2=1.3 * math.sqrt(2.0), thermal=ThermalSpec.kelvin(77.0))
         [(J, detunings, _, weights)] = _detuning_groups(base, q=np.linspace(0.0, 40.0, 9))
-        together = _rabi_scan(J, detunings, weights, 0.0, 2.0 / 1999, 2000)
+        table = _kernel_table(J, detunings)
+        _, dt, together = _uniform_scan(table, weights, 0.0, 2.0, 2000)
+        assert dt == 2.0 / 1999
         for r in range(len(weights)):
-            alone = _rabi_scan(J, detunings, weights[r:r + 1], 0.0, 2.0 / 1999, 2000)
+            _, _, alone = _uniform_scan(table, weights[r:r + 1], 0.0, 2.0, 2000)
             assert together[r].tobytes() == alone[0].tobytes()
 
     def test_refined_peak_beats_a_denser_scan(self, rng):
@@ -559,7 +603,7 @@ class TestNewtonEngine:
     def test_no_refinement_returns_direct_kernel_at_a_coarse_sample(self, monkeypatch):
         # pins the tie rule: at cap 0 a Newton-refined point is its own
         # sample, so its P equals the sample's and the sample is kept
-        from dimerbath.dynamics import _rabi_average_paired
+        from dimerbath.dynamics import _kernel_table, _rabi_average_paired
         monkeypatch.setattr(sweeps, "_REFINE_ITERATIONS", 0)
         window = TimeWindow()
         ts = np.linspace(window.t_min, window.t_max, window.coarse_steps)
@@ -569,10 +613,27 @@ class TestNewtonEngine:
             t_star, p_star = max_over_time(cfg, window)
             assert t_star in ts
             J, detunings, weights = _group(cfg)
-            direct = _rabi_average_paired(J, detunings, weights,
+            direct = _rabi_average_paired(_kernel_table(J, detunings), weights,
                                           np.zeros(1, dtype=int), np.array([t_star]))
             assert p_star == direct[0]
             assert p_star >= p12_thermal(cfg, ts).max() - 1e-14
+
+    def test_newton_evaluates_each_candidate_then_its_far_end(self, monkeypatch):
+        # P' and P'' at the n candidates, then P' at the one bracket end that
+        # P'(t) points to: 2n points before the first step, not 3n in one call
+        newton, calls = sweeps._newton_max, []
+
+        def spy(slopes, t, a, b, iterations):
+            def counted(live, x):
+                calls.append((t.size, x.size))
+                return slopes(live, x)
+            return newton(counted, t, a, b, iterations)
+        monkeypatch.setattr(sweeps, "_newton_max", spy)
+        max_over_time(make_config(N1=22, gamma1=1.3, N2=20, gamma2=1.3, q=12.0,
+                                  thermal=ThermalSpec.kelvin(77.0)))
+        n = calls[0][0]
+        assert n > 1
+        assert calls[:2] == [(n, n), (n, n)]
 
     def test_newton_falls_back_to_bisection(self):
         # P' = -atan(t - r): a Newton step from far out overshoots the
