@@ -262,12 +262,11 @@ class TestBatchedEngine:
         import dimerbath.cli as cli
         import dimerbath.dynamics as dynamics
         from dimerbath import config_to_dict
-        built = []
+        built, build = [], dynamics._kernel_table
 
         def spy(J, detunings):
             built.append(np.shape(detunings))
-            return table(J, detunings)
-        table = dynamics._kernel_table
+            return build(J, detunings)
         for module in (dynamics, sweeps, cli):
             monkeypatch.setattr(module, "_kernel_table", spy)
         cfg = make_config(N1=22, N2=20, thermal=ThermalSpec.kelvin(77.0))
@@ -620,7 +619,7 @@ class TestNewtonEngine:
 
     def test_newton_evaluates_each_candidate_then_its_far_end(self, monkeypatch):
         # P' and P'' at the n candidates, then P' at the one bracket end that
-        # P'(t) points to: 2n points before the first step, not 3n in one call
+        # P'(t) points to: 2n points before the first step
         newton, calls = sweeps._newton_max, []
 
         def spy(slopes, t, a, b, iterations):
