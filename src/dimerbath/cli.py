@@ -23,7 +23,7 @@ from .config import (ConfigValidationError, SystemConfig, config_to_dict,
                      load_config, validated)
 from .dynamics import (_check_regime, _detuning_groups, _ground_branch, _kernel_table,
                        _uniform_scan, assistance_condition, p12, q_threshold, resonance_gamma)
-from .oracle import MAX_BATH_SPINS, evolve_probability
+from .oracle import MAX_BATH_SPINS, _check_size, evolve_probability
 from .sweeps import TimeWindow, max_over_time, sweep
 
 EXIT_OK = 0
@@ -385,6 +385,7 @@ def cmd_oracle_check(args) -> int:
     if args.n2 is not None:
         config = replace(config, bath2=replace(config.bath2, N=args.n2))
     validated(config)
+    _check_size(config.bath1.N, config.bath2.N, MAX_BATH_SPINS)
     ts = np.linspace(0.0, args.t_max, args.points)
     analytic = np.asarray(p12(config, ts))
     numeric = np.asarray(evolve_probability(config, ts))

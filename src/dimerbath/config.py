@@ -25,9 +25,14 @@ class ConfigValidationError(ValueError):
         super().__init__("; ".join(self.errors))
 
 
+def _is_number(value) -> bool:
+    """An int or float, not a bool (bool subclasses int; JSON true is no number)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def beta_from_kelvin(temperature_kelvin: float) -> float:
     """Inverse temperature in ps for a temperature in K."""
-    if not (isinstance(temperature_kelvin, (int, float))
+    if not (_is_number(temperature_kelvin)
             and math.isfinite(temperature_kelvin) and temperature_kelvin > 0):
         raise ConfigValidationError(
             [f"temperature must be positive and finite, got {temperature_kelvin!r}"])
@@ -115,7 +120,7 @@ class SystemConfig:
 
 
 def _check_finite(errors, name, value):
-    if not (isinstance(value, (int, float)) and math.isfinite(value)):
+    if not (_is_number(value) and math.isfinite(value)):
         errors.append(f"{name} must be a finite number, got {value!r}")
         return False
     return True
@@ -130,7 +135,7 @@ def validate(config: SystemConfig) -> list[str]:
     if _check_finite(errors, "J", d.J) and d.J == 0:
         errors.append("J must be nonzero")
     for label, bath in (("bath1", config.bath1), ("bath2", config.bath2)):
-        if not (isinstance(bath.N, int) and bath.N >= 1):
+        if not (isinstance(bath.N, int) and not isinstance(bath.N, bool) and bath.N >= 1):
             errors.append(f"{label}.N must be a positive integer, got {bath.N!r}")
         _check_finite(errors, f"{label}.alpha", bath.alpha)
         _check_finite(errors, f"{label}.gamma", bath.gamma)
@@ -141,10 +146,11 @@ def validate(config: SystemConfig) -> list[str]:
                  bool(th.zero_temperature)])
     if n_set != 1:
         errors.append("exactly one of temperature_kelvin, beta, zero_temperature must be set")
+    if not isinstance(th.zero_temperature, bool):
+        errors.append(f"zero_temperature must be true or false, got {th.zero_temperature!r}")
     for label, value in (("temperature", th.temperature_kelvin), ("beta", th.beta_ps)):
-        if value is not None and not (isinstance(value, (int, float))
-                                      and math.isfinite(value) and value > 0):
-            errors.append(f"{label} must be positive")
+        if value is not None and not (_is_number(value) and math.isfinite(value) and value > 0):
+            errors.append(f"{label} must be positive, got {value!r}")
     return errors
 
 
@@ -182,7 +188,11 @@ def config_from_dict(data: dict) -> SystemConfig:
     missing = set(_KEYS) - {"q"} - set(data)
     if missing:
         errors.append(f"missing config keys: {', '.join(sorted(missing))}")
-    thermal_keys = [k for k in _THERMAL_KEYS if data.get(k) not in (None, False)]
+    # null leaves a thermal key unset, and false the zero-temperature tag;
+    # any other value is given, and validate checks it
+    thermal_keys = [k for k in _THERMAL_KEYS if data.get(k) is not None]
+    if data.get("zero_temperature") is False:
+        thermal_keys.remove("zero_temperature")
     if len(thermal_keys) != 1:
         errors.append("exactly one of temperature_kelvin, beta, zero_temperature:true "
                       "must be given")
@@ -194,7 +204,7 @@ def config_from_dict(data: dict) -> SystemConfig:
     elif "beta" in thermal_keys:
         thermal = ThermalSpec.from_beta(data["beta"])
     else:
-        thermal = ThermalSpec.zero()
+        thermal = ThermalSpec(zero_temperature=data["zero_temperature"])
 
     parts = {}
     for key, (part, name) in _KEYS.items():

@@ -12,9 +12,10 @@ and zero temperature takes the ground-state corner's detuning
 integer key rather than by comparing floats, share one term of the average
 (_merged_detunings).  The kernels take any number of weight rows, each over
 its own group, so groups with equally many detunings are evaluated
-together; they read J^2, omega and the amplitudes from one table that
-their caller builds for its groups (_kernel_table), and run their blocks
-in order on the calling thread.
+together, and the uniform scan any number of rows over one group; they
+read J^2, omega and the amplitudes from one table that their caller
+builds for its groups (_kernel_table), and run their blocks in order on
+the calling thread.
 """
 
 from __future__ import annotations
@@ -260,36 +261,33 @@ def _rabi_slopes(table, weights: np.ndarray, rows: np.ndarray, t: np.ndarray,
     return jj * slope, 2.0 * jj * curvature
 
 
-def _uniform_scan(table, weights: np.ndarray, t_min: float, t_max: float, steps: int,
-                  of: np.ndarray | None = None) -> tuple[np.ndarray, float, np.ndarray]:
+def _uniform_scan(table, weights: np.ndarray, t_min: float, t_max: float,
+                  steps: int) -> tuple[np.ndarray, float, np.ndarray]:
     """(ts, dt, P): the uniform grid of a window, its step and every weight
     row's curve on it, by angle addition; the one grid of the peak engine's
     coarse scan (sweeps._stack_peaks) and of the CLI's curve commands.
 
     ts is np.linspace(t_min, t_max, steps), bit for bit, and dt is
-    (t_max - t_min)/(steps - 1), or 0 for fewer than two steps.  Weight row
-    r takes group of[r] of table (_kernel_table), of ascending; of None is
-    one group for every row.
+    (t_max - t_min)/(steps - 1), or 0 for fewer than two steps.  Every
+    weight row is over the one group of table (_kernel_table, one row).
 
     With c_k = w_k J^2/omega_k^2, P(t) = sum_k c_k/2 - sum_k c_k cos(2 omega_k t)/2.
     The grid is cut into runs of B = 2h + 1 steps around centres T_u, and
     cos(2 omega (T_u +- v dt)) = cos x cos y -+ sin x sin y with x, y the
     phases of T_u and of v dt.  So a weight row's scan is a pair of matrix
-    products per block of detunings, over its group's cos/sin tables of
+    products per block of detunings, over the group's cos/sin tables of
     the centres and of the offsets 0..h: 2 (steps/B + h + 1) K sines and
-    cosines per group instead of steps K sines per row.  The tables of as
-    many groups as fit a block come from one cos and one sin call, and the
-    blocks bound the tables' memory.  A stacked matmul makes one product
-    per row, and the blocks depend only on steps and the number of
-    detunings, so a row gives the same bits whatever rows and groups it is
-    batched with.  P[r, j] is within 8 eps (|J| t_max + 1), an absolute
-    bound, of the direct kernel at ts[j] (sweeps._scan_tolerance).  No
-    steps give an empty row per weight row; dt = 0 gives t_min throughout.
+    cosines per call instead of steps K sines per row.  The detuning blocks
+    bound the tables' memory and the row batches the products'.  A stacked
+    matmul makes one product per row, and the blocks depend only on steps
+    and the number of detunings, so a row gives the same bits whatever
+    rows it is batched with.  P[r, j] is within 8 eps (|J| t_max + 1), an
+    absolute bound, of the direct kernel at ts[j] (sweeps._scan_tolerance).
+    No steps give an empty row per weight row; dt = 0 gives t_min throughout.
     """
     dt = (t_max - t_min) / (steps - 1) if steps > 1 else 0.0
     _, omega, amp = table
-    two_omega = 2.0 * omega
-    of = np.zeros(len(weights), np.intp) if of is None else of
+    two_omega = 2.0 * omega[0]
     # B about sqrt(8 steps): the offset tables are the larger, as they are
     # not scaled per row
     half = math.isqrt(8 * steps) // 2
@@ -297,32 +295,27 @@ def _uniform_scan(table, weights: np.ndarray, t_min: float, t_max: float, steps:
     n_coarse = -(-steps // n_fine)
     centres = t_min + dt * (half + n_fine * np.arange(n_coarse))
     offsets = dt * np.arange(half + 1)
-    c = weights * _pick(amp, of)
-    k = two_omega.shape[1]
+    c = weights * amp
+    k = two_omega.size
     # [row, cos | sin, centre, offset]
     acc = np.empty((len(c), 2, n_coarse, half + 1))
     width = max(1, _KERNEL_BLOCK // (n_coarse + half + 1))
     batch = max(1, _KERNEL_BLOCK // max(1, 2 * n_coarse * min(width, k)))
-    stack = max(1, _KERNEL_BLOCK // (min(width, k) * (n_coarse + half + 1)))
-    bounds = np.searchsorted(of, np.arange(len(two_omega) + 1)).tolist()
     for lo in range(0, k, width):
-        for g0 in range(0, len(two_omega), stack):
-            part = two_omega[g0:g0 + stack, lo:lo + width]
-            # [group, cos | sin, ...], each written in place
-            x_tables = np.empty((len(part), 2, n_coarse, part.shape[1]))
-            y_tables = np.empty((len(part), 2, part.shape[1], half + 1))
-            for tables, phase in ((x_tables, centres[:, None] * part[:, None, :]),
-                                  (y_tables, part[:, :, None] * offsets)):
-                np.cos(phase, out=tables[:, 0])
-                np.sin(phase, out=tables[:, 1])
-            for g, x_table, y_table in zip(range(g0, g0 + stack), x_tables, y_tables):
-                for r in range(bounds[g], bounds[g + 1], batch):
-                    e = min(r + batch, bounds[g + 1])
-                    scaled = x_table * c[r:e, None, None, lo:lo + width]
-                    if lo == 0:
-                        np.matmul(scaled, y_table, out=acc[r:e])
-                    else:
-                        acc[r:e] += scaled @ y_table
+        part = two_omega[lo:lo + width]
+        # [cos | sin, ...], each written in place
+        x_table = np.empty((2, n_coarse, part.size))
+        y_table = np.empty((2, part.size, half + 1))
+        for tables, phase in ((x_table, centres[:, None] * part),
+                              (y_table, part[:, None] * offsets)):
+            np.cos(phase, out=tables[0])
+            np.sin(phase, out=tables[1])
+        for r in range(0, len(c), batch):
+            scaled = x_table * c[r:r + batch, None, None, lo:lo + width]
+            if lo == 0:
+                np.matmul(scaled, y_table, out=acc[r:r + batch])
+            else:
+                acc[r:r + batch] += scaled @ y_table
     # offsets -h..-1 take even + odd, offsets 0..h take even - odd
     even, odd = acc[:, 0], acc[:, 1]
     p = np.empty((len(c), n_coarse, n_fine))

@@ -10,9 +10,10 @@ factorises as K(t, D) @ W(D; beta, q) over the distinct detunings D, so a
 grid's cells are grouped by detuning set and each distinct (beta, q)
 weight row is built once.  Groups with the same number of detunings are
 stacked and take one pass of the engine (_stack_peaks): scans and
-candidate picks in blocks of rows, then one refinement and one direct
-evaluation over every row, each row over its own group's J and
-detunings, from one kernel table per pass (dynamics._kernel_table).
+candidate picks group by group, in blocks of the group's rows, then one
+refinement and one direct evaluation over every row, each row over its
+own group's J and detunings, from one kernel table per pass
+(dynamics._kernel_table).
 Zero-temperature cells use the closed-form peak instead, and a time axis
 gives each cell its curve, one table per group; _cells is the one place
 in this module that tells the two regimes apart.  Everything runs on the
@@ -180,7 +181,7 @@ def _newton_max(slopes, t: np.ndarray, a: np.ndarray, b: np.ndarray,
 
 
 def _scan_tolerance(J, window: TimeWindow):
-    """Bound on |_uniform_scan - direct kernel| over the window, for each J.
+    """Bound on |_uniform_scan - direct kernel| over the window, at J.
 
     Both round the phase 2 omega t to a few ulp; through the amplitude
     J^2/omega^2 that moves P by at most a few eps |J| t.
@@ -189,18 +190,19 @@ def _scan_tolerance(J, window: TimeWindow):
     return 8.0 * _EPS * (np.abs(J) * t_end + 1.0)
 
 
-def _candidates(J: np.ndarray, omega: np.ndarray, weights: np.ndarray,
-                p: np.ndarray, p_best: np.ndarray, dt: float, tol: np.ndarray):
+def _candidates(J: float, omega: np.ndarray, weights: np.ndarray,
+                p: np.ndarray, p_best: np.ndarray, dt: float, tol: float):
     """(rows, cols) of the coarse local maxima that could beat their row's best.
 
-    Row r has its own J[r], omega[r], weights[r] and scan tolerance tol[r].
-    P over a sample's +-dt interval is bounded two ways.  M2 = 2 J^2 bounds
-    |P''|, so P there is at most the local maximum + M2 dt^2/8.  Inside the
-    grid, P is also at most the top of the parabola through the three
-    samples + M3 dt^3/(9 sqrt 3), where M3 = 4 J^2 sum_k w_k omega_k bounds
-    |P'''|.  A candidate whose bound, widened by the scan's error and
-    _BOUND_SLACK, is below its row's best sample cannot end above the
-    row's result, so dropping it changes no result.
+    Every row is over one group, with its J, omega and scan tolerance tol,
+    and row r has its own weights[r].  P over a sample's +-dt interval is
+    bounded two ways.  M2 = 2 J^2 bounds |P''|, so P there is at most the
+    local maximum + M2 dt^2/8.  Inside the grid, P is also at most the top
+    of the parabola through the three samples + M3 dt^3/(9 sqrt 3), where
+    M3 = 4 J^2 sum_k w_k omega_k bounds |P'''|.  A candidate whose bound,
+    widened by the scan's error and _BOUND_SLACK, is below its row's best
+    sample cannot end above the row's result, so dropping it changes no
+    result.
     """
     # samples at least their neighbours, the grid padded with -inf
     last = p.shape[1] - 1
@@ -217,9 +219,8 @@ def _candidates(J: np.ndarray, omega: np.ndarray, weights: np.ndarray,
         lift = np.where(curvature > 0, (right - left) ** 2 / (8.0 * curvature), 0.0)
     lift = lift + m3[rows] * dt ** 3 / (9.0 * math.sqrt(3.0))
     # at the grid's edges only the first bound holds (lift is nan there)
-    j = J[rows]
-    lift = np.fmin(j * j * dt * dt / 4.0, lift)
-    keep = mid + lift + 3.0 * tol[rows] + _BOUND_SLACK >= p_best[rows]
+    lift = np.fmin(J * J * dt * dt / 4.0, lift)
+    keep = mid + lift + 3.0 * tol + _BOUND_SLACK >= p_best[rows]
     return rows[keep], cols[keep]
 
 
@@ -260,32 +261,35 @@ def _stack_peaks(J: np.ndarray, detunings: np.ndarray, weights: np.ndarray,
 
     The coarse scan (_uniform_scan) only picks candidates: the coarse local
     maxima whose interval could hold a peak above the row's best sample
-    (_candidates).  Scan and pick run on blocks of rows whose samples are
-    at most _KERNEL_BLOCK, so that a block is read while in cache.  Each
-    candidate is refined within +-dt: by safeguarded Newton on the
-    closed-form P' where P' changes sign next to it, by golden section
-    otherwise (a peak at the window's edge, say).  A row's P* is the direct
-    kernel (_rabi_average_paired) at its best refined point, or at its best
-    coarse sample when no refined point is higher.  One kernel table serves
-    every group, each scan block takes its rows of it, and the refinement
-    and the direct kernel each run once over every row; a row's values
-    depend on its own row and group alone.
+    (_candidates).  Scan and pick walk the groups in row order, each
+    group's rows in blocks whose samples are at most _KERNEL_BLOCK, so that
+    a block is read while in cache; a block takes its group's row of the
+    kernel table (dynamics._kernel_table).  Each candidate is refined
+    within +-dt: by safeguarded Newton on the closed-form P' where P'
+    changes sign next to it, by golden section otherwise (a peak at the
+    window's edge, say).  A row's P* is the direct kernel
+    (_rabi_average_paired) at its best refined point, or at its best coarse
+    sample when no refined point is higher.  The one kernel table of the
+    pass serves every group, and the refinement and the direct kernel each
+    run once over every row; a row's values depend on its own row and
+    group alone.
     """
     n = len(weights)
     table = _kernel_table(J, detunings)
-    tol = _scan_tolerance(J, window)
     best, rows, times = np.empty(n), [], []
     block = max(1, _KERNEL_BLOCK // window.coarse_steps)
-    for lo in range(0, n, block):
-        g = of[lo:lo + block]
-        ts, dt, p = _uniform_scan([c[g[0]:g[-1] + 1] for c in table], weights[lo:lo + block],
-                                  window.t_min, window.t_max, window.coarse_steps, g - g[0])
-        i_best = p.argmax(axis=1)
-        best[lo:lo + block] = ts[i_best]
-        r, cols = _candidates(J[g], table[1][g], weights[lo:lo + block], p,
-                              p[np.arange(len(p)), i_best], dt, tol[g])
-        rows.append(r + lo)
-        times.append(ts[cols])
+    ends = np.cumsum(np.bincount(of)).tolist()
+    for g, (start, end) in enumerate(zip([0] + ends, ends)):
+        for lo in range(start, end, block):
+            w = weights[lo:min(lo + block, end)]
+            ts, dt, p = _uniform_scan([c[g:g + 1] for c in table], w,
+                                      window.t_min, window.t_max, window.coarse_steps)
+            i_best = p.argmax(axis=1)
+            best[lo:lo + len(w)] = ts[i_best]
+            r, cols = _candidates(J[g], table[1][g], w, p, p[np.arange(len(p)), i_best], dt,
+                                  _scan_tolerance(J[g], window))
+            rows.append(r + lo)
+            times.append(ts[cols])
     rows = np.concatenate(rows)
     # every row's best sample, then its refined candidates: the stable sort
     # keeps the first highest value, so a refined point must beat the sample
@@ -407,7 +411,9 @@ def _check_axis_values(names, values):
     two axes set, found before any work."""
     errors = []
     for name, v in zip(names, values):
-        if v.size == 0:
+        if v.ndim != 1:
+            errors.append(f"{name} axis must be one-dimensional, got shape {v.shape}")
+        elif v.size == 0:
             errors.append(f"{name} axis has no values")
         elif not np.isfinite(v).all():
             errors.append("axis values must be finite")

@@ -44,6 +44,17 @@ def test_validate_reports_all_errors(config_file, capsys):
     assert "J" in err and "N" in err
 
 
+@pytest.mark.parametrize("overrides, message", [
+    (dict(J=True), "J must be a finite number, got True"),
+    (dict(N1=True), "bath1.N must be a positive integer, got True"),
+    (dict(zero_temperature=1), "zero_temperature must be true or false, got 1"),
+])
+def test_validate_rejects_a_json_bool_as_a_number_and_a_number_as_the_tag(
+        config_file, capsys, overrides, message):
+    assert main(["validate", "--config", config_file(**overrides)]) == 2
+    assert capsys.readouterr() == ("", message + "\n")
+
+
 def test_validate_rejects_unknown_key(config_file, capsys):
     path = config_file(gama2=1.0)
     assert main(["validate", "--config", path]) == 2
@@ -433,10 +444,13 @@ def test_oracle_check_disagreement_exit_code(config_file):
                  "--points", "10", "--tol", "0"]) == 3
 
 
-def test_oracle_check_size_guard(config_file, capsys):
+def test_oracle_check_size_guard(config_file, capsys, monkeypatch):
+    calls = _no_curves(monkeypatch)
     assert main(["oracle-check", "--config", config_file(), "--n1", "12",
                  "--n2", "12"]) == 2
-    assert "23" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "bath sizes N1+N2=24 exceed the oracle limit of 23 spins\n")
+    assert calls == []
 
 
 @pytest.mark.parametrize("points", ["0", "-3"])

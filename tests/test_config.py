@@ -168,3 +168,27 @@ def test_config_from_dict_zero_temperature_tag():
     data["zero_temperature"] = True
     cfg = config_from_dict(data)
     assert cfg.thermal.is_zero_temperature
+
+
+# the name each key's validation error starts with
+FIELDS = {"epsilon1": "epsilon1", "epsilon2": "epsilon2", "J": "J",
+          "N1": "bath1.N", "alpha1": "bath1.alpha", "gamma1": "bath1.gamma",
+          "N2": "bath2.N", "alpha2": "bath2.alpha", "gamma2": "bath2.gamma",
+          "q": "q", "temperature_kelvin": "temperature", "beta": "beta",
+          "zero_temperature": "zero_temperature"}
+
+
+@pytest.mark.parametrize("key, value", [*((key, True) for key in FIELDS
+                                          if key != "zero_temperature"),
+                                        ("zero_temperature", 1)])
+def test_config_from_dict_takes_no_bool_as_a_number_and_no_number_as_the_tag(key, value):
+    # bool subclasses int, so JSON true passed as the number 1, and any
+    # truthy value passed as the zero-temperature tag
+    data = dict(FULL)
+    if key in THERMAL:
+        del data["temperature_kelvin"]
+    data[key] = value
+    with pytest.raises(ConfigValidationError) as exc:
+        config_from_dict(data)
+    [error] = exc.value.errors
+    assert error.startswith(f"{FIELDS[key]} must ") and error.endswith(f"got {value!r}")

@@ -255,6 +255,35 @@ class TestBatchedEngine:
         assert sum(scanned) == 41 * 41
         assert max(scanned) * window.coarse_steps <= _KERNEL_BLOCK
 
+    def test_a_scan_call_takes_one_group(self, monkeypatch):
+        # each group's rows are scanned on their own: one table row per
+        # call, and the candidate pick gets the group's J and tolerance
+        scans, picks = [], []
+
+        def spy(name, record):
+            real = getattr(sweeps, name)
+
+            def call(*args):
+                record(*args)
+                return real(*args)
+            monkeypatch.setattr(sweeps, name, call)
+        spy("_uniform_scan", lambda table, weights, *args: scans.append(
+            (len(table[1]), len(weights))))
+        spy("_candidates", lambda J, omega, weights, p, p_best, dt, tol: picks.append(
+            (np.ndim(J), np.ndim(omega), np.ndim(tol))))
+        cfg = make_config(N1=22, N2=20, thermal=ThermalSpec.kelvin(77.0))
+        # the thermal-grid benchmark's shape: 2 gamma_both x 8 q across q0
+        sweep(cfg, [("gamma_both", [1.3, 2.6]), ("q", np.linspace(8.0, 35.0, 8))])
+        assert scans == [(1, 8), (1, 8)]
+        assert picks == [(0, 1, 0)] * 2
+        scans.clear()
+        picks.clear()
+        sweep(cfg, [("gamma_both", np.linspace(0.0, 4.0, 41)),
+                    ("q", np.linspace(0.0, 40.0, 41))])
+        assert {rows for rows, _ in scans} == {1}
+        assert sum(n for _, n in scans) == 41 * 41
+        assert set(picks) == {(0, 1, 0)} and len(picks) == len(scans)
+
     def test_the_owner_of_the_groups_builds_the_kernel_table_once(self, monkeypatch, tmp_path):
         # one table per peak pass, per group of a time axis, per p12 call and
         # per curve command; no kernel builds its own
@@ -468,6 +497,13 @@ class TestBatchedEngine:
                      [("gamma_both", [1.0]), ("gamma2", [2.0])]):
             with pytest.raises(ConfigValidationError, match="set the same field"):
                 sweep(cfg, axes)
+        for config in (cfg, make_config(gamma2=1.0)):  # finite and zero temperature
+            for axes in ([("q", [[0.0, 1.0], [2.0, 3.0]])], [("q", 3.0)],
+                         [("gamma2", [1.0]), ("q", [[0.0], [1.0]])],
+                         [("t", [[0.0, 0.5]]), ("q", [1.0])]):
+                with pytest.raises(ConfigValidationError,
+                                   match="^[qt] axis must be one-dimensional"):
+                    sweep(config, axes)
         assert calls == []
         sweep(cfg, [("temperature", [77.0])], TimeWindow(coarse_steps=800))
         assert calls
