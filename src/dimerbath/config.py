@@ -126,6 +126,26 @@ def _check_finite(errors, name, value):
     return True
 
 
+def _exponent_errors(N1: int, alpha1: float, N2: int, alpha2: float, q: float,
+                    beta: float | None) -> list[str]:
+    """Why the Boltzmann exponent beta E over the (m1, m2) grid overflows, if it does.
+
+    E = alpha1 m1 + alpha2 m2 + q m1 m2 is bilinear, so its extremes lie at
+    the four corners m1 = +-N1/2, m2 = +-N2/2, each written as the weight
+    rows write it; a finite corner bounds every sector's E and its partial
+    sums.  beta times the corner spread then bounds every difference of two
+    exponents; beta None (zero temperature) checks E alone.
+    """
+    corners = [alpha1 * m1 + alpha2 * m2 + q * m1 * m2
+               for m1 in (-N1 / 2.0, N1 / 2.0) for m2 in (-N2 / 2.0, N2 / 2.0)]
+    if not all(math.isfinite(e) for e in corners):
+        return [f"bath energy alpha1 m1 + alpha2 m2 + q m1 m2 overflows at q = {q!r}"]
+    if beta is not None and not math.isfinite(beta * (max(corners) - min(corners))):
+        return [f"Boltzmann exponent overflows: beta = {beta!r} times the bath energy "
+                f"spread {max(corners) - min(corners)!r} at q = {q!r} is not finite"]
+    return []
+
+
 def validate(config: SystemConfig) -> list[str]:
     """Collect every invariant violation (empty list means valid)."""
     errors: list[str] = []
@@ -151,6 +171,10 @@ def validate(config: SystemConfig) -> list[str]:
     for label, value in (("temperature", th.temperature_kelvin), ("beta", th.beta_ps)):
         if value is not None and not (_is_number(value) and math.isfinite(value) and value > 0):
             errors.append(f"{label} must be positive, got {value!r}")
+    if not errors:
+        b1, b2 = config.bath1, config.bath2
+        errors += _exponent_errors(b1.N, b1.alpha, b2.N, b2.alpha, config.correlation.q,
+                                   None if th.is_zero_temperature else th.beta)
     return errors
 
 

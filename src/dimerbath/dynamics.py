@@ -20,6 +20,7 @@ the calling thread.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -138,7 +139,11 @@ def _detuning_groups(config: SystemConfig, **cells):
     (beta, q) alone and the detunings on (gamma1, gamma2) alone, so each
     distinct (beta, q) row (_log_weight_rows) and each distinct
     (J, gamma1, gamma2) detuning set is built once, and a group is the
-    cells of one (J, gamma1, gamma2).  Returns a list of
+    cells of one (J, gamma1, gamma2).  Groups of one class map (the
+    sector -> class index `inverse` of _merged_detunings; every
+    gamma1 = gamma2 != 0 has the same) share one merge of the W rows any
+    of them uses, so the 41 x 41 headline sweep merges twice, not 41
+    times.  Returns a list of
     (J, detunings, cells, weights): the sorted distinct detunings, the
     indices of the group's cells, and one row of merged weights per cell.
     A cell's detunings and weights have the same bits in any grid, alone
@@ -158,32 +163,36 @@ def _detuning_groups(config: SystemConfig, **cells):
     sectors = (b1.N + 1) * (b2.N + 1)
     rows, row_of = _distinct(beta, q)
     sets, set_of = _distinct(J, gamma1, gamma2)
-    groups = []
+    groups, maps = [], {}
     for s, first in enumerate(sets):
         members = np.flatnonzero(set_of == s)
         detunings, inverse = _merged_detunings(config.gap, gamma1[first], gamma2[first],
                                                b1.N, b2.N)
-        # the group's W rows, ascending, and each member's among them
-        used = np.flatnonzero(np.bincount(row_of[members], minlength=len(rows)))
-        slot = np.searchsorted(used, row_of[members])
-        groups.append((first, members, slot, detunings, inverse, used,
-                       np.empty((used.size, detunings.size))))
-    # W rows in blocks of at most _KERNEL_BLOCK elements, each merged into
-    # every group that uses it: row i of a block adds its sectors to bins
+        # groups of one class map share its merged W rows: those any of them uses
+        key = inverse.tobytes()
+        _, uses = maps.setdefault(key, (inverse, np.zeros(len(rows), dtype=bool)))
+        uses[row_of[members]] = True
+        groups.append((first, members, detunings, key))
+    merges = {key: (inverse, used, np.empty((used.size, inverse.max() + 1)))
+              for key, (inverse, uses) in maps.items() for used in [np.flatnonzero(uses)]}
+    # W rows in blocks of at most _KERNEL_BLOCK elements, each merged once per
+    # class map that uses it: row i of a block adds its sectors to bins
     # i K + inverse, in sector order, as a bincount of the row alone would
     step = max(1, _KERNEL_BLOCK // sectors)
     for lo in range(0, len(rows), step):
         block = rows[lo:lo + step]
         lw, log_z = _log_weight_rows(b1.N, b1.alpha, b2.N, b2.alpha, beta[block], q[block])
         w = np.exp(lw - log_z[:, None])
-        for _, _, _, detunings, inverse, used, merged in groups:
+        for inverse, used, merged in merges.values():
             a, b = np.searchsorted(used, (lo, lo + step))
-            k = detunings.size
+            k = merged.shape[1]
             bins = (np.arange(b - a)[:, None] * k + inverse).ravel()
             merged[a:b] = np.bincount(bins, weights=w[used[a:b] - lo].ravel(),
                                       minlength=(b - a) * k).reshape(b - a, k)
-    return [(float(J[first]), detunings, members.tolist(), merged[slot])
-            for first, members, slot, detunings, _, _, merged in groups]
+    return [(float(J[first]), detunings, members.tolist(),
+             merged[np.searchsorted(used, row_of[members])])
+            for first, members, detunings, key in groups
+            for _, used, merged in [merges[key]]]
 
 
 def _kernel_table(J, detunings) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -261,69 +270,128 @@ def _rabi_slopes(table, weights: np.ndarray, rows: np.ndarray, t: np.ndarray,
     return jj * slope, 2.0 * jj * curvature
 
 
-def _uniform_scan(table, weights: np.ndarray, t_min: float, t_max: float,
-                  steps: int) -> tuple[np.ndarray, float, np.ndarray]:
-    """(ts, dt, P): the uniform grid of a window, its step and every weight
-    row's curve on it, by angle addition; the one grid of the peak engine's
-    coarse scan (sweeps._stack_peaks) and of the CLI's curve commands.
+def _scan_grid(t_min: float, t_max: float, steps: int):
+    """(ts, dt, centres, offsets): the uniform grid of a window, its step, and
+    the run centres T_u and offsets v dt, v = 0..h, of the angle addition of
+    _uniform_scan, which cuts the grid into runs of B = 2h + 1 steps.
 
     ts is np.linspace(t_min, t_max, steps), bit for bit, and dt is
-    (t_max - t_min)/(steps - 1), or 0 for fewer than two steps.  Every
-    weight row is over the one group of table (_kernel_table, one row).
+    (t_max - t_min)/(steps - 1), or 0 for fewer than two steps.  B is about
+    sqrt(8 steps): the offset tables are the larger, as they are not scaled
+    per row.  A peak pass builds its grid once (sweeps._stack_peaks).
+    """
+    dt = (t_max - t_min) / (steps - 1) if steps > 1 else 0.0
+    half = math.isqrt(8 * steps) // 2
+    n_fine = 2 * half + 1
+    n_coarse = -(-steps // n_fine)
+    centres = t_min + dt * (half + n_fine * np.arange(n_coarse))
+    return np.linspace(t_min, t_max, steps), dt, centres, dt * np.arange(half + 1)
+
+
+def _scan_width(grid) -> int:
+    """Detunings per block of the scan tables: a block's tables of the
+    centres and of the offsets hold at most _KERNEL_BLOCK elements each."""
+    _, _, centres, offsets = grid
+    return max(1, _KERNEL_BLOCK // (centres.size + offsets.size))
+
+
+def _scan_tables(two_omega: np.ndarray, grid) -> tuple[np.ndarray, np.ndarray]:
+    """The [cos | sin] tables of the phases 2 omega T_u of the grid's run
+    centres and 2 omega v dt of its offsets, of shapes (2, centres, K) and
+    (2, K, h + 1), for one block of at most _scan_width(grid) detunings."""
+    _, _, centres, offsets = grid
+    x_table = np.empty((2, centres.size, two_omega.size))
+    y_table = np.empty((2, two_omega.size, offsets.size))
+    for tables, phase in ((x_table, centres[:, None] * two_omega),
+                          (y_table, two_omega[:, None] * offsets)):
+        np.cos(phase, out=tables[0])
+        np.sin(phase, out=tables[1])
+    return x_table, y_table
+
+
+def _scan_workspace(rows: int, k: int, grid):
+    """(acc, scaled, samples): the scratch of _scan_into for up to rows weight
+    rows over k detunings on the grid, views of one allocation.  scaled
+    holds a batch of rows of one detuning block's scaled centre table, the
+    batch at most _KERNEL_BLOCK elements."""
+    _, _, centres, offsets = grid
+    n_coarse, half = centres.size, offsets.size - 1
+    width = min(_scan_width(grid), k)
+    batch = max(1, min(rows, _KERNEL_BLOCK // max(1, 2 * n_coarse * width)))
+    shapes = ((rows, 2, n_coarse, half + 1), (batch, 2 * n_coarse * width),
+              (rows, n_coarse, 2 * half + 1))
+    sizes = [math.prod(shape) for shape in shapes]
+    buffer = np.empty(sum(sizes))
+    return tuple(buffer[end - size:end].reshape(shape)
+                 for shape, size, end in zip(shapes, sizes, itertools.accumulate(sizes)))
+
+
+def _scan_into(workspace, c: np.ndarray, two_omega: np.ndarray, grid,
+               tables) -> np.ndarray:
+    """The samples on the grid of every row of c = w J^2/omega^2, written into
+    the workspace (_scan_workspace): a (rows, steps) view of it.
+
+    tables are the group's scan tables when its detunings fit one block
+    (_scan_tables); otherwise each block's are built here, so that their
+    memory stays bounded for any number of detunings.  See _uniform_scan.
+    """
+    ts, _, _, offsets = grid
+    acc, scaled, p = workspace
+    n, k = c.shape
+    half = offsets.size - 1
+    acc, p = acc[:n], p[:n]
+    batch = len(scaled)
+    width = _scan_width(grid)
+    for lo in range(0, k, width):
+        x_table, y_table = (_scan_tables(two_omega[lo:lo + width], grid) if tables is None
+                            else tables)
+        for r in range(0, n, batch):
+            b = min(batch, n - r)
+            s = scaled.ravel()[:b * x_table.size].reshape((b,) + x_table.shape)
+            np.multiply(x_table, c[r:r + b, None, None, lo:lo + width], out=s)
+            if lo == 0:
+                np.matmul(s, y_table, out=acc[r:r + b])
+            else:
+                acc[r:r + b] += s @ y_table
+    # offsets -h..-1 take even + odd, offsets 0..h take even - odd
+    even, odd = acc[:, 0], acc[:, 1]
+    np.add(even[:, :, :0:-1], odd[:, :, :0:-1], out=p[:, :, :half])
+    np.subtract(even, odd, out=p[:, :, half:])
+    np.subtract(c.sum(axis=-1)[:, None, None], p, out=p)
+    p *= 0.5
+    return p.reshape(n, -1)[:, :ts.size]
+
+
+def _uniform_scan(table, weights: np.ndarray, t_min: float, t_max: float,
+                  steps: int) -> tuple[np.ndarray, float, np.ndarray]:
+    """(ts, dt, P): the uniform grid of a window (_scan_grid), its step and
+    every weight row's curve on it, by angle addition; the CLI's curve
+    commands call it, and the peak engine's coarse scan
+    (sweeps._stack_peaks) runs the same pieces with its grid, tables and
+    workspace built once per pass.  Every weight row is over the one group
+    of table (_kernel_table, one row).
 
     With c_k = w_k J^2/omega_k^2, P(t) = sum_k c_k/2 - sum_k c_k cos(2 omega_k t)/2.
     The grid is cut into runs of B = 2h + 1 steps around centres T_u, and
     cos(2 omega (T_u +- v dt)) = cos x cos y -+ sin x sin y with x, y the
     phases of T_u and of v dt.  So a weight row's scan is a pair of matrix
     products per block of detunings, over the group's cos/sin tables of
-    the centres and of the offsets 0..h: 2 (steps/B + h + 1) K sines and
-    cosines per call instead of steps K sines per row.  The detuning blocks
-    bound the tables' memory and the row batches the products'.  A stacked
-    matmul makes one product per row, and the blocks depend only on steps
-    and the number of detunings, so a row gives the same bits whatever
-    rows it is batched with.  P[r, j] is within 8 eps (|J| t_max + 1), an
-    absolute bound, of the direct kernel at ts[j] (sweeps._scan_tolerance).
-    No steps give an empty row per weight row; dt = 0 gives t_min throughout.
+    the centres and of the offsets 0..h (_scan_tables): 2 (steps/B + h + 1) K
+    sines and cosines per group instead of steps K sines per row.  The
+    detuning blocks bound the tables' memory and the row batches the
+    products'.  A stacked matmul makes one product per row, and the blocks
+    depend only on steps and the number of detunings, so a row gives the
+    same bits whatever rows it is batched with.  P[r, j] is within
+    8 eps (|J| t_max + 1), an absolute bound, of the direct kernel at ts[j]
+    (sweeps._scan_tolerance).  No steps give an empty row per weight row;
+    dt = 0 gives t_min throughout.
     """
-    dt = (t_max - t_min) / (steps - 1) if steps > 1 else 0.0
+    grid = _scan_grid(t_min, t_max, steps)
     _, omega, amp = table
-    two_omega = 2.0 * omega[0]
-    # B about sqrt(8 steps): the offset tables are the larger, as they are
-    # not scaled per row
-    half = math.isqrt(8 * steps) // 2
-    n_fine = 2 * half + 1
-    n_coarse = -(-steps // n_fine)
-    centres = t_min + dt * (half + n_fine * np.arange(n_coarse))
-    offsets = dt * np.arange(half + 1)
     c = weights * amp
-    k = two_omega.size
-    # [row, cos | sin, centre, offset]
-    acc = np.empty((len(c), 2, n_coarse, half + 1))
-    width = max(1, _KERNEL_BLOCK // (n_coarse + half + 1))
-    batch = max(1, _KERNEL_BLOCK // max(1, 2 * n_coarse * min(width, k)))
-    for lo in range(0, k, width):
-        part = two_omega[lo:lo + width]
-        # [cos | sin, ...], each written in place
-        x_table = np.empty((2, n_coarse, part.size))
-        y_table = np.empty((2, part.size, half + 1))
-        for tables, phase in ((x_table, centres[:, None] * part),
-                              (y_table, part[:, None] * offsets)):
-            np.cos(phase, out=tables[0])
-            np.sin(phase, out=tables[1])
-        for r in range(0, len(c), batch):
-            scaled = x_table * c[r:r + batch, None, None, lo:lo + width]
-            if lo == 0:
-                np.matmul(scaled, y_table, out=acc[r:r + batch])
-            else:
-                acc[r:r + batch] += scaled @ y_table
-    # offsets -h..-1 take even + odd, offsets 0..h take even - odd
-    even, odd = acc[:, 0], acc[:, 1]
-    p = np.empty((len(c), n_coarse, n_fine))
-    np.add(even[:, :, :0:-1], odd[:, :, :0:-1], out=p[:, :, :half])
-    np.subtract(even, odd, out=p[:, :, half:])
-    np.subtract(c.sum(axis=-1)[:, None, None], p, out=p)
-    p *= 0.5
-    return np.linspace(t_min, t_max, steps), dt, p.reshape(len(c), -1)[:, :steps]
+    p = _scan_into(_scan_workspace(len(c), c.shape[1], grid), c, 2.0 * omega[0], grid, None)
+    # a copy, so that the curve does not hold the scratch around it
+    return grid[0], grid[1], p.copy()
 
 
 def p12_thermal_jm(config: SystemConfig, t):

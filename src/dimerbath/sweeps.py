@@ -8,12 +8,14 @@ peak that has no sign change of P' next to it.  The scan only picks
 candidates; every reported P* is the direct kernel at its t*.  P
 factorises as K(t, D) @ W(D; beta, q) over the distinct detunings D, so a
 grid's cells are grouped by detuning set and each distinct (beta, q)
-weight row is built once.  Groups with the same number of detunings are
-stacked and take one pass of the engine (_stack_peaks): scans and
-candidate picks group by group, in blocks of the group's rows, then one
-refinement and one direct evaluation over every row, each row over its
-own group's J and detunings, from one kernel table per pass
-(dynamics._kernel_table).
+weight row is built once, and merged once per sector -> detuning-class
+map.  Groups with the same number of detunings are stacked and take one
+pass of the engine (_stack_peaks): scans and candidate picks group by
+group, in blocks of the group's rows, then one refinement and one direct
+evaluation over every row, each row over its own group's J and
+detunings, from one kernel table per pass (dynamics._kernel_table).  A
+pass builds its scan grid and scan workspace once, and a group its scan
+tables once.
 Zero-temperature cells use the closed-form peak instead, and a time axis
 gives each cell its curve, one table per group; _cells is the one place
 in this module that tells the two regimes apart.  Everything runs on the
@@ -24,14 +26,16 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import ConfigValidationError, SystemConfig, ThermalSpec, validated
+from .config import (ConfigValidationError, SystemConfig, ThermalSpec, _exponent_errors,
+                     validated)
 from .dynamics import (_KERNEL_BLOCK, _detuning_groups, _ground_branch, _kernel_table,
-                       _rabi_average_paired, _rabi_slopes, _uniform_scan,
-                       delta0_correlated, p12)
+                       _rabi_average_paired, _rabi_slopes, _scan_grid, _scan_into,
+                       _scan_tables, _scan_width, _scan_workspace, delta0_correlated, p12)
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _EPS = float(np.finfo(float).eps)
@@ -46,6 +50,13 @@ class TimeWindow:
     coarse_steps: int = 2000
 
     def __post_init__(self):
+        # numpy's numbers pass, bools (and numpy's) do not
+        for name, kind, what in (("t_min", numbers.Real, "a real number"),
+                                 ("t_max", numbers.Real, "a real number"),
+                                 ("coarse_steps", numbers.Integral, "an integer")):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"{name} must be {what}, got {value!r}")
         if not (0.0 <= self.t_min < self.t_max < math.inf):
             raise ValueError("need 0 <= t_min < t_max < inf")
         if self.coarse_steps < 2:
@@ -155,28 +166,29 @@ def _newton_max(slopes, t: np.ndarray, a: np.ndarray, b: np.ndarray,
     far, _ = slopes(everyone, np.where(up, b, a))
     bracketed = np.where(up, far < 0, far > 0)
     t = t.copy()
-    lo, hi = np.where(up, t, a), np.where(up, b, t)
-    step = hi - lo
-    step_old = step.copy()
+    # the state of the live candidates only: time, bracket, last two steps
     live = everyone[bracketed]
+    x, up = t[live], up[live]
+    lo, hi = np.where(up, x, a[live]), np.where(up, b[live], x)
+    step = hi - lo
+    step_old = step
     d1, d2 = d1[bracketed], d2[bracketed]
     for i in range(iterations):
-        x, l, h = t[live], lo[live], hi[live]
         # the Newton point, used only where P'' < 0
         newton = x - np.divide(d1, d2, out=np.zeros(d1.shape), where=d2 < 0)
-        use = ((d2 < 0) & (newton >= l) & (newton <= h)
-               & (np.abs(2.0 * d1) <= np.abs(step_old[live] * d2)))
-        x = np.where(use, newton, l + 0.5 * (h - l))
-        step_old[live] = step[live]
-        step[live] = x - t[live]
-        t[live] = x
-        moving = ~_converged(step[live], x)
-        live, x = live[moving], x[moving]
-        if live.size == 0 or i + 1 == iterations:
+        use = ((d2 < 0) & (newton >= lo) & (newton <= hi)
+               & (np.abs(2.0 * d1) <= np.abs(step_old * d2)))
+        new = np.where(use, newton, lo + 0.5 * (hi - lo))
+        step_old, step = step, new - x
+        x = t[live] = new
+        moving = ~_converged(step, x)
+        if i + 1 == iterations or not moving.any():
             break
+        live, x, lo, hi, step, step_old = (
+            v[moving] for v in (live, x, lo, hi, step, step_old))
         d1, d2 = slopes(live, x)
-        lo[live] = np.where(d1 > 0, x, lo[live])
-        hi[live] = np.where(d1 < 0, x, hi[live])
+        lo = np.where(d1 > 0, x, lo)
+        hi = np.where(d1 < 0, x, hi)
     return t, bracketed
 
 
@@ -259,43 +271,56 @@ def _stack_peaks(J: np.ndarray, detunings: np.ndarray, weights: np.ndarray,
                  of: np.ndarray, window: TimeWindow) -> tuple[np.ndarray, np.ndarray]:
     """(t*, P*) of every weight row, row r over the J and detunings of group of[r].
 
-    The coarse scan (_uniform_scan) only picks candidates: the coarse local
-    maxima whose interval could hold a peak above the row's best sample
-    (_candidates).  Scan and pick walk the groups in row order, each
-    group's rows in blocks whose samples are at most _KERNEL_BLOCK, so that
-    a block is read while in cache; a block takes its group's row of the
-    kernel table (dynamics._kernel_table).  Each candidate is refined
-    within +-dt: by safeguarded Newton on the closed-form P' where P'
-    changes sign next to it, by golden section otherwise (a peak at the
-    window's edge, say).  A row's P* is the direct kernel
-    (_rabi_average_paired) at its best refined point, or at its best coarse
-    sample when no refined point is higher.  The one kernel table of the
-    pass serves every group, and the refinement and the direct kernel each
-    run once over every row; a row's values depend on its own row and
-    group alone.
+    The coarse scan (the pieces of dynamics._uniform_scan) only picks
+    candidates: the coarse local maxima whose interval could hold a peak
+    above the row's best sample (_candidates).  Scan and pick walk the
+    groups in row order, each group's rows in blocks whose samples are at
+    most _KERNEL_BLOCK, so that a block is read while in cache; a block
+    takes its group's row of the kernel table (dynamics._kernel_table).
+    The pass builds what its blocks share once: the scan grid, and one
+    scan workspace of min(_KERNEL_BLOCK // coarse_steps, largest group)
+    rows, released before the refinement.  A group whose detunings fit one
+    detuning block of the scan builds its cos/sin tables once for all its
+    row blocks; a larger group builds them per row block, so that their
+    memory stays bounded.  Each candidate is refined within +-dt: by
+    safeguarded Newton on the closed-form P' where P' changes sign next to
+    it, by golden section otherwise (a peak at the window's edge, say).  A
+    row's P* is the direct kernel (_rabi_average_paired) at its best
+    refined point, or at its best coarse sample when no refined point is
+    higher.  The one kernel table of the pass serves every group, and the
+    refinement and the direct kernel each run once over every row; a row's
+    values depend on its own row and group alone.
     """
     n = len(weights)
     table = _kernel_table(J, detunings)
-    best, rows, times = np.empty(n), [], []
+    _, omega, amp = table
+    grid = _scan_grid(window.t_min, window.t_max, window.coarse_steps)
+    ts, dt = grid[:2]
     block = max(1, _KERNEL_BLOCK // window.coarse_steps)
-    ends = np.cumsum(np.bincount(of)).tolist()
+    sizes = np.bincount(of)
+    ends = np.cumsum(sizes).tolist()
+    workspace = _scan_workspace(min(block, int(sizes.max())), omega.shape[1], grid)
+    fits = omega.shape[1] <= _scan_width(grid)
+    best, rows, times = np.empty(n), [], []
     for g, (start, end) in enumerate(zip([0] + ends, ends)):
+        two_omega = 2.0 * omega[g]
+        tables = _scan_tables(two_omega, grid) if fits else None
+        tol = _scan_tolerance(J[g], window)
         for lo in range(start, end, block):
             w = weights[lo:min(lo + block, end)]
-            ts, dt, p = _uniform_scan([c[g:g + 1] for c in table], w,
-                                      window.t_min, window.t_max, window.coarse_steps)
+            p = _scan_into(workspace, w * amp[g], two_omega, grid, tables)
             i_best = p.argmax(axis=1)
             best[lo:lo + len(w)] = ts[i_best]
-            r, cols = _candidates(J[g], table[1][g], w, p, p[np.arange(len(p)), i_best], dt,
-                                  _scan_tolerance(J[g], window))
+            r, cols = _candidates(J[g], omega[g], w, p, p[np.arange(len(p)), i_best], dt, tol)
             rows.append(r + lo)
             times.append(ts[cols])
-    rows = np.concatenate(rows)
+    del workspace, p  # the scan's scratch, before the refinement's
+    rows, times = np.concatenate(rows), np.concatenate(times)
+    refined = _refine(table, weights, of, rows, times, dt, window)
     # every row's best sample, then its refined candidates: the stable sort
     # keeps the first highest value, so a refined point must beat the sample
     row = np.concatenate([np.arange(n), rows])
-    t = np.concatenate([best, _refine(table, weights, of, rows,
-                                      np.concatenate(times), dt, window)])
+    t = np.concatenate([best, refined])
     p_all = _rabi_average_paired(table, weights, row, t, of=of)
     order = np.lexsort((-p_all, row))
     first = order[np.searchsorted(row[order], np.arange(n))]
@@ -406,9 +431,15 @@ def _apply_parameter(config: SystemConfig, **fields) -> SystemConfig:
     return replace(config, **parts)
 
 
-def _check_axis_values(names, values):
+def _check_axis_values(config: SystemConfig, names, values):
     """Every error an axis value would raise in some cell, and any field that
-    two axes set, found before any work."""
+    two axes set, found before any work.
+
+    A cell's Boltzmann exponent overflows somewhere on the grid if it does
+    at the largest beta and the smallest or the largest q: the bath
+    energy's corners are linear in q and their spread is convex in it
+    (config._exponent_errors).
+    """
     errors = []
     for name, v in zip(names, values):
         if v.ndim != 1:
@@ -424,6 +455,16 @@ def _check_axis_values(names, values):
     fields = [f for name in names for f in _FIELDS.get(name, ())]
     if len(set(fields)) < len(fields):
         errors.append(f"axes {' and '.join(names)} set the same field")
+    if not errors:
+        axes = dict(zip(names, values))
+        q = axes.get("q", np.array([config.correlation.q]))
+        if "temperature" in axes:
+            beta = ThermalSpec.kelvin(float(axes["temperature"].min())).beta
+        else:
+            beta = None if config.thermal.is_zero_temperature else config.thermal.beta
+        b1, b2 = config.bath1, config.bath2
+        for q_end in sorted({float(q.min()), float(q.max())}):
+            errors += _exponent_errors(b1.N, b1.alpha, b2.N, b2.alpha, q_end, beta)
     if errors:
         raise ConfigValidationError(errors)
 
@@ -452,7 +493,7 @@ def sweep(config: SystemConfig, axes, window: TimeWindow | None = None) -> Sweep
     if names.count("t") > 1:
         raise ValueError("at most one axis may be time")
     values = [np.asarray(v, dtype=float) for _, v in axes]
-    _check_axis_values(names, values)
+    _check_axis_values(config, names, values)
 
     shape = tuple(len(v) for v in values)
     grid = np.empty(shape)

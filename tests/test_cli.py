@@ -55,6 +55,29 @@ def test_validate_rejects_a_json_bool_as_a_number_and_a_number_as_the_tag(
     assert capsys.readouterr() == ("", message + "\n")
 
 
+@pytest.mark.parametrize("overrides", [
+    dict(beta=1e305, q=5.0), dict(temperature_kelvin=77.0, q=1e307),
+    dict(temperature_kelvin=1e-306, q=5.0)])
+def test_an_overflowing_boltzmann_exponent_exits_2(config_file, tmp_path, capsys, overrides):
+    # the parent printed ok, and p_star = nan from max
+    path = config_file(N1=22, gamma1=1.0, gamma2=1.0, zero_temperature=None, **overrides)
+    for command in (["validate"], ["max"], ["sweep", "--axis", "gamma_both=0:4:3",
+                                             "--out", str(tmp_path / "grid.csv")]):
+        assert main([command[0], "--config", path] + command[1:]) == 2
+        assert "overflows" in capsys.readouterr().err
+    assert not (tmp_path / "grid.csv").exists()
+
+
+@pytest.mark.parametrize("axis", ["q=0:1e307:3", "temperature=1e-306:77:2"])
+def test_an_overflowing_sweep_axis_exits_2(config_file, tmp_path, capsys, axis):
+    path = config_file(N1=22, gamma1=1.0, gamma2=1.0, zero_temperature=None,
+                       temperature_kelvin=77.0)
+    out = tmp_path / "grid.csv"
+    assert main(["sweep", "--config", path, "--axis", axis, "--out", str(out)]) == 2
+    assert "overflows" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_validate_rejects_unknown_key(config_file, capsys):
     path = config_file(gama2=1.0)
     assert main(["validate", "--config", path]) == 2

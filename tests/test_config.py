@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -192,3 +193,28 @@ def test_config_from_dict_takes_no_bool_as_a_number_and_no_number_as_the_tag(key
         config_from_dict(data)
     [error] = exc.value.errors
     assert error.startswith(f"{FIELDS[key]} must ") and error.endswith(f"got {value!r}")
+
+
+@pytest.mark.parametrize("q, thermal, message", [
+    (5.0, ThermalSpec.from_beta(1e305), "Boltzmann exponent overflows: beta = 1e+305"),
+    (1e307, ThermalSpec.kelvin(77.0), "bath energy alpha1 m1 + alpha2 m2 + q m1 m2 overflows"),
+    (1e307, ThermalSpec.zero(), "bath energy alpha1 m1 + alpha2 m2 + q m1 m2 overflows"),
+    (-1e307, ThermalSpec.kelvin(300.0), "bath energy alpha1 m1 + alpha2 m2 + q m1 m2 overflows"),
+])
+def test_an_overflowing_boltzmann_exponent_is_rejected(q, thermal, message):
+    # the weight rows would exponentiate inf - inf: P = nan with a warning
+    cfg = make_config(N1=22, alpha1=250.0, gamma1=1.0, N2=20, gamma2=1.0, q=q,
+                      thermal=thermal)
+    [error] = validate(cfg)
+    assert error.startswith(message)
+    with pytest.raises(ConfigValidationError, match="overflows"):
+        validated(cfg)
+
+
+def test_the_largest_finite_boltzmann_exponent_is_accepted():
+    # beta times the corner spread 12100 just below the largest double
+    cfg = make_config(N1=22, alpha1=250.0, gamma1=1.0, N2=20, gamma2=1.0, q=30.0,
+                      thermal=ThermalSpec.from_beta(1.79e308 / 12100))
+    assert validate(cfg) == []
+    [error] = validate(replace(cfg, thermal=ThermalSpec.from_beta(2 * (1.79e308 / 12100))))
+    assert error.startswith("Boltzmann exponent overflows")

@@ -104,6 +104,28 @@ class TestMaxOverTime:
         with pytest.raises(ValueError):
             TimeWindow(coarse_steps=1)
 
+    @pytest.mark.parametrize("fields, message", [
+        (dict(coarse_steps=2000.0), "coarse_steps must be an integer, got 2000.0"),
+        (dict(coarse_steps=2000.5), "coarse_steps must be an integer, got 2000.5"),
+        (dict(coarse_steps=True), "coarse_steps must be an integer, got True"),
+        (dict(coarse_steps=np.True_), "coarse_steps must be an integer"),
+        (dict(t_max=True), "t_max must be a real number, got True"),
+        (dict(t_min=False, t_max=1.0), "t_min must be a real number, got False"),
+        (dict(t_min="0"), "t_min must be a real number, got '0'"),
+    ])
+    def test_window_rejects_a_non_integer_step_count_and_bool_bounds(self, fields, message):
+        # the parent built the weight rows, then raised TypeError in the scan
+        # (a float step count) or scanned [0, 1] (t_max=True)
+        with pytest.raises(ValueError) as error:
+            TimeWindow(**fields)
+        assert str(error.value).startswith(message)
+
+    def test_window_takes_numpy_numbers(self):
+        window = TimeWindow(t_min=np.float64(0.0), t_max=np.float32(0.5),
+                            coarse_steps=np.int64(400))
+        cfg = make_config(gamma2=1.0, thermal=ThermalSpec.kelvin(77.0))
+        assert max_over_time(cfg, window) == max_over_time(cfg, TimeWindow(0.0, 0.5, 400))
+
     @pytest.mark.parametrize("t_min", [0.0, 1.0])
     def test_window_rejects_an_infinite_t_max(self, t_min):
         with pytest.raises(ValueError, match="< inf"):
@@ -245,7 +267,7 @@ class TestBatchedEngine:
         spy("_stack_peaks", lambda J, detunings, weights, of, window: passes.append(
             (detunings.shape[1], len(weights))))
         spy("_newton_max", lambda *args: loops.append(len(passes)))
-        spy("_uniform_scan", lambda table, weights, *args: scanned.append(len(weights)))
+        spy("_scan_into", lambda workspace, c, *args: scanned.append(len(c)))
         window = TimeWindow()
         sweep(make_config(N1=22, N2=20, thermal=ThermalSpec.kelvin(77.0)),
               [("gamma_both", np.linspace(0.0, 4.0, 41)), ("q", np.linspace(0.0, 40.0, 41))],
@@ -256,8 +278,8 @@ class TestBatchedEngine:
         assert max(scanned) * window.coarse_steps <= _KERNEL_BLOCK
 
     def test_a_scan_call_takes_one_group(self, monkeypatch):
-        # each group's rows are scanned on their own: one table row per
-        # call, and the candidate pick gets the group's J and tolerance
+        # each group's rows are scanned on their own: one group's detunings
+        # per call, and the candidate pick gets the group's J and tolerance
         scans, picks = [], []
 
         def spy(name, record):
@@ -267,8 +289,8 @@ class TestBatchedEngine:
                 record(*args)
                 return real(*args)
             monkeypatch.setattr(sweeps, name, call)
-        spy("_uniform_scan", lambda table, weights, *args: scans.append(
-            (len(table[1]), len(weights))))
+        spy("_scan_into", lambda workspace, c, two_omega, grid, tables: scans.append(
+            (np.ndim(two_omega), len(c))))
         spy("_candidates", lambda J, omega, weights, p, p_best, dt, tol: picks.append(
             (np.ndim(J), np.ndim(omega), np.ndim(tol))))
         cfg = make_config(N1=22, N2=20, thermal=ThermalSpec.kelvin(77.0))
@@ -280,9 +302,96 @@ class TestBatchedEngine:
         picks.clear()
         sweep(cfg, [("gamma_both", np.linspace(0.0, 4.0, 41)),
                     ("q", np.linspace(0.0, 40.0, 41))])
-        assert {rows for rows, _ in scans} == {1}
+        assert {ndim for ndim, _ in scans} == {1}
         assert sum(n for _, n in scans) == 41 * 41
         assert set(picks) == {(0, 1, 0)} and len(picks) == len(scans)
+
+    def test_a_pass_builds_its_grid_and_workspace_once_and_a_group_its_tables(
+            self, monkeypatch):
+        # the scan grid and the scan workspace once per pass, the workspace of
+        # at most _KERNEL_BLOCK // coarse_steps rows; a group's cos/sin tables
+        # once if its detunings fit one block, else once per block of rows
+        # and of detunings, so that their memory stays bounded
+        from dimerbath import dynamics
+        from dimerbath.dynamics import _KERNEL_BLOCK
+        grids, workspaces, tables = [], [], []
+
+        def spy(name, record):
+            real = getattr(dynamics, name)
+
+            def call(*args):
+                out = real(*args)
+                record(*args, out)
+                return out
+            for module in (dynamics, sweeps):
+                monkeypatch.setattr(module, name, call)
+        spy("_scan_grid", lambda t_min, t_max, steps, grid: grids.append(steps))
+        spy("_scan_workspace", lambda rows, k, grid, workspace: workspaces.append((rows, k)))
+        spy("_scan_tables", lambda two_omega, grid, out: tables.append(two_omega.size))
+        cfg = make_config(N1=22, N2=20, thermal=ThermalSpec.kelvin(77.0))
+        sweep(cfg, [("gamma_both", [1.3, 2.6]), ("q", np.linspace(8.0, 35.0, 8))])
+        assert (grids, workspaces, tables) == ([2000], [(8, 43)], [43, 43])
+        for cleared in (grids, workspaces, tables):
+            cleared.clear()
+        sweep(cfg, [("gamma_both", np.linspace(0.0, 4.0, 41)),
+                    ("q", np.linspace(0.0, 40.0, 41))])
+        assert grids == [2000] * 2
+        assert sorted(workspaces) == [(_KERNEL_BLOCK // 2000, 1), (_KERNEL_BLOCK // 2000, 43)]
+        assert sorted(tables) == [1] + [43] * 40
+        for cleared in (grids, workspaces, tables):
+            cleared.clear()
+        # 201 x 8 sectors, all of distinct detuning: 1608 > 819 detunings
+        # per block at 2000 steps, so each of the 40 q's two row blocks
+        # (32 + 8 rows) builds the tables of both detuning blocks
+        wide = make_config(N1=200, gamma1=1.3, N2=7, gamma2=1.3 * math.sqrt(2.0),
+                           thermal=ThermalSpec.kelvin(300.0))
+        sweep(wide, [("q", np.linspace(0.0, 40.0, 40))])
+        assert workspaces == [(32, 1608)]
+        assert tables == [819, 789] * 2
+
+    def test_weight_rows_merge_once_per_class_map(self, monkeypatch):
+        # every gamma1 = gamma2 != 0 group has one sector -> detuning-class
+        # map, so their W rows are merged once, by the one weighted bincount
+        # of _detuning_groups per block of rows: the parent merged per group
+        merges, bincount = [], np.bincount
+
+        def spy(x, weights=None, minlength=0):
+            if weights is not None:
+                merges.append(minlength)
+            return bincount(x, weights=weights, minlength=minlength)
+        monkeypatch.setattr(np, "bincount", spy)
+        cfg = make_config(N1=22, N2=20, thermal=ThermalSpec.kelvin(77.0))
+        tg = sweep(cfg, [("gamma_both", [1.3, 2.6]), ("q", np.linspace(8.0, 35.0, 8))])
+        assert merges == [8 * 43]
+        merges.clear()
+        sweep(cfg, [("gamma_both", np.linspace(0.0, 4.0, 41)),
+                    ("q", np.linspace(0.0, 40.0, 41))])
+        assert sorted(merges) == [41 * 1, 41 * 43]
+        monkeypatch.undo()
+        for i, g in enumerate([1.3, 2.6]):
+            for j, q in enumerate(np.linspace(8.0, 35.0, 8)):
+                cell = _cell_config(cfg, [("gamma_both", g), ("q", q)])
+                assert (tg.t_star[i, j], tg.values[i, j]) == max_over_time(cell)
+
+    def test_scan_scratch_peaks_below_fresh_per_block_temporaries(self):
+        import tracemalloc
+        # tracemalloc peaks of one call after a warm-up, with fresh scan
+        # temporaries per row block (per group, scan call and candidate
+        # list alive into the refinement): 780 KiB for the thermal-grid
+        # shape and 5624 KiB for the 77 K headline sweep
+        cfg = make_config(N1=22, N2=20, thermal=ThermalSpec.kelvin(77.0))
+        for axes, bound_kib in (
+                ([("gamma_both", [1.3, 2.6]), ("q", np.linspace(8.0, 35.0, 8))], 720),
+                ([("gamma_both", np.linspace(0.0, 4.0, 41)),
+                  ("q", np.linspace(0.0, 40.0, 41))], 5500)):
+            sweep(cfg, axes)
+            tracemalloc.start()
+            try:
+                sweep(cfg, axes)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound_kib * 1024
 
     def test_the_owner_of_the_groups_builds_the_kernel_table_once(self, monkeypatch, tmp_path):
         # one table per peak pass, per group of a time axis, per p12 call and
@@ -474,9 +583,40 @@ class TestBatchedEngine:
         assert p_star >= dense.max() - 1e-12
         assert p_star == p12_thermal(cfg, t_star)
 
+    def test_an_overflowing_exponent_raises_before_any_weight_row(self, monkeypatch):
+        # q = 1e307 makes the bath energy inf, T = 1e-306 K makes beta times
+        # its spread inf: the parent returned nan peaks and a nan argmax
+        from dimerbath import dynamics
+        calls = []
+        for module, name in ((dynamics, "_log_weight_rows"), (dynamics, "_kernel_table"),
+                             (sweeps, "_kernel_table"), (sweeps, "_scan_tables")):
+            def spy(*args, built=getattr(module, name), name=name):
+                calls.append(name)
+                return built(*args)
+            monkeypatch.setattr(module, name, spy)
+        base = make_config(N1=22, gamma1=1.0, N2=20, gamma2=1.0,
+                           thermal=ThermalSpec.kelvin(77.0))
+        for axes in ([("q", [0.0, 1e307])], [("temperature", [1e-306, 77.0])],
+                     [("gamma_both", [1.0, 2.0]), ("q", [-1e307, 5.0])],
+                     [("q", [0.0, 1e307]), ("t", [0.0, 0.5])]):
+            with pytest.raises(ConfigValidationError, match="overflows"):
+                sweep(base, axes)
+        for q, thermal in ((1e307, base.thermal), (5.0, ThermalSpec.from_beta(1e305))):
+            cfg = replace(base, thermal=thermal,
+                          correlation=replace(base.correlation, q=q))
+            with pytest.raises(ConfigValidationError, match="overflows"):
+                max_over_time(cfg)
+            with pytest.raises(ConfigValidationError, match="overflows"):
+                sweep(cfg, [("gamma_both", [1.0, 2.0])])
+        # a zero-temperature base under a temperature axis takes the axis's beta
+        with pytest.raises(ConfigValidationError, match="overflows"):
+            sweep(replace(base, thermal=ThermalSpec.zero()),
+                  [("temperature", [1e-306, 77.0])])
+        assert calls == []
+
     def test_axis_values_validated_before_any_kernel_call(self, monkeypatch):
         calls = []
-        for name in ("_uniform_scan", "_rabi_average_paired"):
+        for name in ("_scan_into", "_rabi_average_paired"):
             def spy(*args, kernel=getattr(sweeps, name), **kwargs):
                 calls.append(args)
                 return kernel(*args, **kwargs)
