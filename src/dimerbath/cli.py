@@ -100,12 +100,12 @@ def _tables():
             np.frombuffer(b"".join(heads), "<u8"))
 
 
-def _csv_bytes(block, field: bytearray | None = None) -> bytearray:
+def _csv_bytes(block, field: bytearray) -> bytearray:
     """The rows of a 2-D float64 block, each value as '%.17g' % value writes
     it, comma-separated and newline-ended.
 
-    The text is laid out in field, _FIELD bytes per value (a new buffer if
-    None is given), and returned with its NUL bytes dropped.
+    The text is laid out in field, _FIELD bytes per value, and returned
+    with its NUL bytes dropped.
 
     Every |x| in [1e-4, 1e16) has a decimal exponent X in [-4, 15], so
     %.17g writes it in fixed notation from D, the 17-digit integer nearest
@@ -117,8 +117,6 @@ def _csv_bytes(block, field: bytearray | None = None) -> bytearray:
     text is put together from the words of _tables.  Every other value goes
     through '%.17g' % value."""
     rows, cols = block.shape
-    if field is None:
-        field = bytearray(rows * cols * _FIELD)
     v = block.ravel()
     a = np.abs(v)
     j = ((a.view(np.int64) >> 52) * 1233 - 1240879) >> 12  # floor(e*log10(2)) + 5
@@ -324,8 +322,8 @@ def cmd_sweep(args) -> int:
     _check_options(*_window_checks(args, peaks=True), _writable_out(args),
                    (args.axis, "at least one --axis is required"))
     window = TimeWindow(t_min=args.t_min, t_max=args.t_max, coarse_steps=args.steps)
-    config = load_config(args.config)
     axes = [_parse_axis(spec) for spec in args.axis]
+    config = load_config(args.config)
     grid = sweep(config, axes, window)
     if grid.axis2_name is None:
         emit_1d_csv(args.out, grid)

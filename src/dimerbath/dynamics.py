@@ -404,14 +404,10 @@ def p12_thermal_jm(config: SystemConfig, t):
     sectors = []  # (log weight, delta)
     for two_j1 in range(b1.N % 2, b1.N + 1, 2):
         nu1 = multiplicity(b1.N, two_j1 / 2.0)
-        if nu1 == 0:
-            continue
         for two_m1 in range(-two_j1, two_j1 + 1, 2):
             m1 = two_m1 / 2.0
             for two_j2 in range(b2.N % 2, b2.N + 1, 2):
                 nu2 = multiplicity(b2.N, two_j2 / 2.0)
-                if nu2 == 0:
-                    continue
                 for two_m2 in range(-two_j2, two_j2 + 1, 2):
                     m2 = two_m2 / 2.0
                     lw = (math.log(nu1) + math.log(nu2)

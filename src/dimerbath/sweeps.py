@@ -96,14 +96,13 @@ def _zero_temp_peak(config: SystemConfig, window: TimeWindow) -> tuple[float, fl
     return (window.t_min, p_min) if p_min >= p_max else (window.t_max, p_max)
 
 
-def _golden_max(f, a: np.ndarray, b: np.ndarray,
-                iterations: int) -> tuple[np.ndarray, np.ndarray]:
+def _golden_max(f, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Golden-section search on every bracket [a_i, b_i] at once.
 
     f maps the times of all brackets, in order, to their values.  Each
     bracket follows exactly the steps of a scalar search on its own and
     keeps its best point from the step at which its width is first at
-    most _STEP_ULPS ulp, or from its last step at the `iterations` cap.
+    most _STEP_ULPS ulp, or from its last step at the _REFINE_ITERATIONS cap.
     Returns the best point and value of every bracket.
     """
     c = b - _INV_PHI * (b - a)
@@ -112,7 +111,7 @@ def _golden_max(f, a: np.ndarray, b: np.ndarray,
     left = fc > fd
     t_out, p_out = np.where(left, c, d), np.where(left, fc, fd)
     live = np.ones(a.size, dtype=bool)
-    for i in range(iterations):
+    for i in range(_REFINE_ITERATIONS):
         a, b = np.where(left, a, c), np.where(left, d, b)
         h = _INV_PHI * (b - a)
         x = np.where(left, b - h, a + h)
@@ -120,7 +119,7 @@ def _golden_max(f, a: np.ndarray, b: np.ndarray,
         c, d = np.where(left, x, d), np.where(left, c, x)
         fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
         left = fc > fd
-        stop = live & (_converged(b - a, c) | (i + 1 == iterations))
+        stop = live & (_converged(b - a, c) | (i + 1 == _REFINE_ITERATIONS))
         if stop.any():
             t_out = np.where(stop, np.where(left, c, d), t_out)
             p_out = np.where(stop, np.where(left, fc, fd), p_out)
@@ -143,8 +142,8 @@ def _converged(step: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.abs(step) <= _STEP_ULPS * np.spacing(t)
 
 
-def _newton_max(slopes, t: np.ndarray, a: np.ndarray, b: np.ndarray,
-                iterations: int) -> tuple[np.ndarray, np.ndarray]:
+def _newton_max(slopes, t: np.ndarray, a: np.ndarray,
+                b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Local maxima of P next to every t_i within [a_i, b_i], all at once.
 
     slopes(live, x) gives (P', P'') of the candidates live at the times x.
@@ -156,7 +155,7 @@ def _newton_max(slopes, t: np.ndarray, a: np.ndarray, b: np.ndarray,
     otherwise (rtsafe, Press et al., Numerical Recipes, sec. 9.4); the
     bracket then shrinks to the new point on the side its slope says.  A
     candidate stops once its step is at most _STEP_ULPS ulp, or after
-    `iterations` steps, and follows the same steps as it would on its own.
+    _REFINE_ITERATIONS steps, and follows the same steps as it would on its own.
     Returns (t, bracketed).
     """
     everyone = np.arange(t.size)
@@ -173,7 +172,7 @@ def _newton_max(slopes, t: np.ndarray, a: np.ndarray, b: np.ndarray,
     step = hi - lo
     step_old = step
     d1, d2 = d1[bracketed], d2[bracketed]
-    for i in range(iterations):
+    for i in range(_REFINE_ITERATIONS):
         # the Newton point, used only where P'' < 0
         newton = x - np.divide(d1, d2, out=np.zeros(d1.shape), where=d2 < 0)
         use = ((d2 < 0) & (newton >= lo) & (newton <= hi)
@@ -182,7 +181,7 @@ def _newton_max(slopes, t: np.ndarray, a: np.ndarray, b: np.ndarray,
         step_old, step = step, new - x
         x = t[live] = new
         moving = ~_converged(step, x)
-        if i + 1 == iterations or not moving.any():
+        if i + 1 == _REFINE_ITERATIONS or not moving.any():
             break
         live, x, lo, hi, step, step_old = (
             v[moving] for v in (live, x, lo, hi, step, step_old))
@@ -335,12 +334,12 @@ def _refine(table, weights, of, rows, t, dt, window) -> np.ndarray:
     def slopes(live, x):
         return _rabi_slopes(table, weights, rows[live], x, of)
 
-    out, bracketed = _newton_max(slopes, t, a, b, _REFINE_ITERATIONS)
+    out, bracketed = _newton_max(slopes, t, a, b)
     rest = ~bracketed
     if rest.any():
         out[rest], _ = _golden_max(
             lambda x: _rabi_average_paired(table, weights, rows[rest], x, of=of),
-            a[rest], b[rest], _REFINE_ITERATIONS)
+            a[rest], b[rest])
     return out
 
 

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from dimerbath import load_config, p12, sweep
-from dimerbath.cli import _CSV_CHUNK, main
+from dimerbath import config_from_dict, evolve_probability, load_config, p12, sweep
+from dimerbath.cli import _CSV_CHUNK, emit_curve_csv, main
 
 FIG2_FREE = {
     "epsilon1": 0.0, "epsilon2": 20.0, "J": 10.0,
@@ -444,6 +444,13 @@ def test_resonance_command(config_file, capsys):
     assert out.startswith("gamma2 = 2")
 
 
+def test_resonance_command_without_a_nonnegative_solution_exits_2(config_file, capsys):
+    # bath2_up (q above q0 = 125, alpha1 > alpha2) takes gamma2 = -11 here
+    path = config_file(N1=4, alpha1=300.0, gamma1=1.0, N2=4, q=150.0)
+    assert main(["resonance", "--config", path, "--free", "gamma2"]) == 2
+    assert capsys.readouterr() == ("", "no resonant coupling exists for the active branch\n")
+
+
 def test_ground_state_command(config_file, capsys):
     path = config_file(q=30.0, alpha1=300.0, N1=4, N2=4)
     assert main(["ground-state", "--config", path]) == 0
@@ -457,6 +464,25 @@ def test_oracle_check_passes(config_file, capsys):
     assert main(["oracle-check", "--config", path, "--n1", "3", "--n2", "3",
                  "--points", "25"]) == 0
     assert "max |dP|" in capsys.readouterr().out
+
+
+def test_oracle_check_writes_the_numeric_curve_and_its_deviation(config_file, tmp_path,
+                                                                 capsys):
+    overrides = dict(gamma1=1.0, gamma2=2.0, q=5.0, zero_temperature=False,
+                     temperature_kelvin=77.0)
+    out = tmp_path / "oracle.csv"
+    assert main(["oracle-check", "--config", config_file(**overrides), "--n1", "3",
+                 "--n2", "3", "--points", "25", "--t-max", "1.5", "--out", str(out)]) == 0
+    assert "max |dP|" in capsys.readouterr().out
+    config = config_from_dict(dict(FIG2_FREE, N1=3, N2=3, **overrides))
+    ts = np.linspace(0.0, 1.5, 25)
+    numeric = evolve_probability(config, ts)
+    emit_curve_csv(str(tmp_path / "witness.csv"), ts, numeric)
+    assert out.read_bytes() == (tmp_path / "witness.csv").read_bytes()
+    manifest = json.loads((tmp_path / "oracle.csv.manifest.json").read_text())
+    assert manifest["summary"] == {
+        "max_abs_deviation": float(np.abs(p12(config, ts) - numeric).max()),
+        "tolerance": 1e-8}
 
 
 def test_oracle_check_disagreement_exit_code(config_file):
@@ -630,6 +656,20 @@ def test_sweep_without_an_axis_fails_before_reading_the_config(config_file, tmp_
     calls = _no_work(monkeypatch)
     assert main(["sweep", "--config", path, "--out", str(tmp_path / "grid.csv")]) == 2
     assert capsys.readouterr() == ("", "at least one --axis is required\n")
+    assert calls == [] and list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
+
+@pytest.mark.parametrize("axis, message", [
+    ("q=1:2", "bad axis spec 'q=1:2'; expected name=min:max:count"),
+    ("q=0:1:0", "axis count must be >= 1 in 'q=0:1:0'"),
+])
+def test_a_bad_axis_spec_fails_before_reading_the_config(config_file, tmp_path, capsys,
+                                                        monkeypatch, axis, message):
+    path = config_file()
+    calls = _no_work(monkeypatch)
+    assert main(["sweep", "--config", path, "--axis", axis,
+                 "--out", str(tmp_path / "grid.csv")]) == 2
+    assert capsys.readouterr() == ("", message + "\n")
     assert calls == [] and list(tmp_path.iterdir()) == [tmp_path / "config.json"]
 
 

@@ -80,6 +80,19 @@ def test_multiplicity_rejects_bad_pairs():
         multiplicity(0, 0)
 
 
+@pytest.mark.parametrize("N", [0, 2.5])
+def test_counts_and_partition_function_reject_a_size_that_is_no_positive_integer(N):
+    with pytest.raises(ValueError, match="positive integer"):
+        magnetization_counts(N)
+    with pytest.raises(ValueError, match="positive integer"):
+        log_partition_function(N, 250.0, 0.1)
+
+
+def test_partition_function_rejects_a_negative_beta():
+    with pytest.raises(ValueError, match="nonnegative"):
+        log_partition_function(4, 250.0, -0.1)
+
+
 def test_magnetization_counts_small():
     assert magnetization_counts(2) == {-1.0: 1, 0.0: 2, 1.0: 1}
     g20 = magnetization_counts(20)

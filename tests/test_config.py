@@ -51,6 +51,12 @@ def test_beta_rejects_nonpositive(bad):
         beta_from_kelvin(bad)
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, float("inf"), float("nan")])
+def test_kelvin_rejects_a_beta_that_is_not_positive_and_finite(bad):
+    with pytest.raises(ConfigValidationError, match="beta must be positive and finite"):
+        kelvin_from_beta(bad)
+
+
 def test_validate_accepts_good_config():
     cfg = make_config(J=10.0)
     assert validate(cfg) == []

@@ -49,6 +49,13 @@ class TestRabi:
             assert rabi_probability(J, d, t) == \
                 pytest.approx(rabi_probability(J / s, d / s, s * t), abs=1e-12)
 
+    def test_no_frequency_gives_zero(self):
+        # J = D = 0: no coupling and no detuning, the curve is 0 throughout
+        p = rabi_probability(0.0, 0.0, 0.7)
+        assert type(p) is float and p == 0.0
+        ts = np.linspace(0.0, 2.0, 5)
+        assert rabi_probability(0.0, 0.0, ts).tobytes() == np.zeros(5).tobytes()
+
     def test_periodicity(self):
         J, d = 7.0, 3.0
         period = math.pi / math.sqrt(J * J + d * d)
@@ -325,6 +332,11 @@ class TestAssistance:
         report = assistance_condition(cfg)
         assert report.regime == "bath2_up" and report.satisfied
 
+    def test_rejects_finite_temperature(self):
+        cfg = make_config(thermal=ThermalSpec.kelvin(300.0))
+        with pytest.raises(ValueError, match="zero-temperature statement"):
+            assistance_condition(cfg)
+
 
 class TestResonanceSolver:
     def test_solve_gamma2(self):
@@ -353,8 +365,17 @@ class TestResonanceSolver:
 
     def test_rejects_finite_temperature(self):
         cfg = make_config(thermal=ThermalSpec.kelvin(300.0))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="zero-temperature statement"):
             resonance_gamma(cfg, free="gamma2")
+
+    def test_rejects_an_unknown_coupling(self):
+        with pytest.raises(ValueError, match="unknown free coupling 'gamma3'"):
+            resonance_gamma(make_config(), free="gamma3")
+
+    def test_no_solution_when_the_tied_coupling_drops_out(self):
+        # both_down with N1 = N2: gamma_both leaves Delta0 = gap, here 10
+        cfg = make_config(eps1=0, eps2=20, N1=6, N2=6)
+        assert resonance_gamma(cfg, free="gamma_both") is None
 
 
 @pytest.mark.parametrize("zero_temp", [False, True])
@@ -416,6 +437,31 @@ def test_exact_detuning_classes_against_a_fraction_witness():
         ts = np.linspace(0.0, 2.0, 9)
         np.testing.assert_allclose(p12(cfg, ts), p12_thermal_jm(cfg, ts), rtol=0, atol=1e-13)
     assert split
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("eps2", [20.0, 2e17])
+def test_merge_equals_unique_of_the_flat_detunings(monkeypatch, eps2, reverse):
+    # gamma1 = gamma2 = 1 over N = 6/6 has 13 exact classes; at eps2 = 2e17
+    # they all round to the one float 1e17; with the class order reversed,
+    # distinct class floats come out descending.  Each merges as np.unique
+    # of every sector
+    assert dynamics._sector_classes(6, 6, 1, 1)[0].size == 13
+    if reverse:
+        classes = dynamics._sector_classes
+
+        def reversed_classes(*args):
+            first, of = classes(*args)
+            return first[::-1], first.size - 1 - of
+        monkeypatch.setattr(dynamics, "_sector_classes", reversed_classes)
+    cfg = make_config(eps2=eps2, N1=6, gamma1=1.0, N2=6, gamma2=1.0, q=5.0,
+                      thermal=ThermalSpec.kelvin(77.0))
+    merged = dynamics._merged_detunings(cfg.gap, 1.0, 1.0, 6, 6)
+    flat = np.unique(sector_detunings(cfg), return_inverse=True)
+    assert tuple(a.tobytes() for a in merged) == tuple(a.tobytes() for a in flat)
+    assert merged[0].size == (1 if eps2 == 2e17 else 13)
+    ts = np.linspace(0.0, 2.0, 9)
+    np.testing.assert_allclose(p12(cfg, ts), p12_thermal_jm(cfg, ts), rtol=0, atol=1e-12)
 
 
 def test_fuzz_probability_bounds(rng):

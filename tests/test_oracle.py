@@ -12,6 +12,14 @@ from dimerbath.oracle import _bath_magnetizations, _dimer_blocks
 from conftest import make_config, random_config, shift_levels
 
 
+@pytest.mark.parametrize("N1, N2", [(0, 4), (4, 0)])
+def test_ground_state_helpers_reject_an_empty_bath(N1, N2):
+    with pytest.raises(ValueError, match="bath sizes must be >= 1"):
+        brute_force_bath_ground(250.0, 250.0, 0.0, N1, N2)
+    with pytest.raises(ValueError, match="bath sizes must be >= 1"):
+        q_threshold(250.0, 250.0, N1, N2)
+
+
 def small_random_config(rng, **kwargs):
     return random_config(rng, n_max=3, **kwargs)
 

@@ -205,6 +205,15 @@ class TestSweep:
         with pytest.raises(ValueError, match="unknown sweep parameter"):
             sweep(make_config(), [("gamma3", [1.0])])
 
+    @pytest.mark.parametrize("axes, message", [
+        ([], "sweep takes one or two axes"),
+        ([("q", [0.0]), ("gamma1", [1.0]), ("gamma2", [1.0])], "sweep takes one or two axes"),
+        ([("t", [0.0, 1.0]), ("t", [0.5])], "at most one axis may be time"),
+    ])
+    def test_axis_count_and_a_second_time_axis_rejected(self, axes, message):
+        with pytest.raises(ValueError, match=message):
+            sweep(make_config(), axes)
+
     def test_argmax_consistent(self):
         cfg = make_config(thermal=ThermalSpec.kelvin(77.0))
         grid = sweep(cfg, [("gamma2", np.linspace(0, 4, 9))],
@@ -798,11 +807,11 @@ class TestNewtonEngine:
         # P'(t) points to: 2n points before the first step
         newton, calls = sweeps._newton_max, []
 
-        def spy(slopes, t, a, b, iterations):
+        def spy(slopes, t, a, b):
             def counted(live, x):
                 calls.append((t.size, x.size))
                 return slopes(live, x)
-            return newton(counted, t, a, b, iterations)
+            return newton(counted, t, a, b)
         monkeypatch.setattr(sweeps, "_newton_max", spy)
         max_over_time(make_config(N1=22, gamma1=1.3, N2=20, gamma2=1.3, q=12.0,
                                   thermal=ThermalSpec.kelvin(77.0)))
@@ -810,20 +819,21 @@ class TestNewtonEngine:
         assert n > 1
         assert calls[:2] == [(n, n), (n, n)]
 
-    def test_newton_falls_back_to_bisection(self):
+    def test_newton_falls_back_to_bisection(self, monkeypatch):
         # P' = -atan(t - r): a Newton step from far out overshoots the
         # bracket and then diverges, so only bisection brings it in
         from dimerbath.sweeps import _newton_max
+        monkeypatch.setattr(sweeps, "_REFINE_ITERATIONS", 60)
         r = 0.37
 
         def slopes(live, x):
             return -np.arctan(x - r), -1.0 / (1.0 + (x - r) ** 2)
         t, bracketed = _newton_max(slopes, np.array([r + 1.9]), np.array([r - 0.1]),
-                                   np.array([r + 2.0]), 60)
+                                   np.array([r + 2.0]))
         assert bracketed.all()
         assert t[0] == pytest.approx(r, abs=1e-15)
 
-    def test_golden_section_is_per_bracket(self):
+    def test_golden_section_is_per_bracket(self, monkeypatch):
         # a batched search gives every bracket the bits of its own search,
         # though the brackets converge after different numbers of steps
         # and the widest stops at the cap
@@ -832,6 +842,7 @@ class TestNewtonEngine:
         widths = np.array([1e-9, 1e-6, 1e-5, 1.0])
         a = peaks - widths * np.array([0.3, 0.6, 0.45, 0.7])
         cap = 60
+        monkeypatch.setattr(sweeps, "_REFINE_ITERATIONS", cap)
 
         def search(i):
             steps = []
@@ -839,7 +850,7 @@ class TestNewtonEngine:
             def f(x):
                 steps.append(x.size)
                 return np.cos(x - peaks[i]) - (x - peaks[i]) ** 2
-            return _golden_max(f, a[i], a[i] + widths[i], cap), len(steps) - 2
+            return _golden_max(f, a[i], a[i] + widths[i]), len(steps) - 2
 
         batched, _ = search(slice(None))
         singles = [search(slice(i, i + 1)) for i in range(peaks.size)]
